@@ -25,6 +25,7 @@ class CircuitBuilder:
     def __init__(self, memory, alloc_chunk: Optional[int] = None) -> None:
         self.memory = memory
         self._reserve = getattr(memory, "reserve_variables", None)
+        self._add = getattr(memory, "add_clause_direct", None) or memory.add_clause
         if alloc_chunk is None:
             alloc_chunk = 64 if self._reserve is not None else 1
         self._chunk = max(1, alloc_chunk)
@@ -58,8 +59,7 @@ class CircuitBuilder:
             self._pool_next += 1
 
     def add_clause(self, literals: Sequence[int]) -> None:
-        adder = getattr(self.memory, "add_clause_direct", None) or self.memory.add_clause
-        adder(list(literals))
+        self._add(literals)
         self.clauses_added += 1
 
     # -- constants ---------------------------------------------------------

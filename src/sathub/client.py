@@ -5,6 +5,7 @@ applies the initial snapshot, and then mirrors every synchronization
 message. Locally originated additions are applied to the replica once at
 send time; the hub never echoes them back. Clause sends are
 fire-and-forget; variable operations await their indexed responses.
+Outbound frames are queued and sent, coalesced, by one writer thread.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 import queue
 import socket
 import threading
+import time
 
 from . import wire
 from .cnf import ClauseRangeError, CnfStore, canonical_clause
+from .service import FrameWriter
 
 
 class MirrorProtocolError(ConnectionError):
@@ -53,7 +56,6 @@ class MemoryMirror:
         self.pending_lock = False
         self._sock = sock
         self._stream = sock.makefile("rb")
-        self._send_lock = threading.Lock()
         self._request_lock = threading.Lock()
         self._responses: queue.Queue = queue.Queue()
 
@@ -67,6 +69,7 @@ class MemoryMirror:
 
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
+        self._writer = FrameWriter(sock, socket.SHUT_WR)
 
     # -- replica views -------------------------------------------------------
 
@@ -106,48 +109,44 @@ class MemoryMirror:
             self._responses.put(None)
 
     def _send(self, data: bytes) -> None:
-        if not self.alive:
+        """Queue frames to go out after every frame queued before them."""
+        if not (self.alive and self._writer.send(data)):
+            self.alive = False
             raise ConnectionError("mirror connection lost")
-        with self._send_lock:
-            try:
-                self._sock.sendall(data)
-            except OSError as exc:
-                self.alive = False
-                raise ConnectionError(f"mirror send failed: {exc}") from exc
 
     def _request(self, data: bytes, expected: int):
         with self._request_lock:
             self._send(data)
-            try:
-                item = self._responses.get(timeout=self.request_timeout)
-            except queue.Empty:
-                raise TimeoutError("no response from memory service") from None
-            if item is None:
-                raise ConnectionError("mirror connection lost")
-            opcode, payload = item
-            if opcode == expected:
-                return payload
-            if opcode == wire.ERROR:
-                code, message = payload
-                if code == wire.ERR_LOCKED:
-                    raise LockTimeout(message)
-                if code == wire.ERR_OUT_OF_RANGE:
-                    raise ClauseRangeError(message)
-                raise MirrorProtocolError(message)
-            raise MirrorProtocolError(f"unexpected response opcode {opcode}")
+            return self._response(expected)
+
+    def _response(self, expected: int):
+        """Await the next response; raise the error it carries unless it is ``expected``."""
+        try:
+            item = self._responses.get(timeout=self.request_timeout)
+        except queue.Empty:
+            raise TimeoutError("no response from memory service") from None
+        if item is None:
+            self._responses.put(None)  # every later wait fails at once too
+            raise ConnectionError("mirror connection lost")
+        opcode, payload = item
+        if opcode == expected:
+            return payload
+        if opcode == wire.ERROR:
+            code, message = payload
+            if code == wire.ERR_LOCKED:
+                raise LockTimeout(message)
+            if code == wire.ERR_OUT_OF_RANGE:
+                raise ClauseRangeError(message)
+            raise MirrorProtocolError(message)
+        raise MirrorProtocolError(f"unexpected response opcode {opcode}")
 
     # -- operations --------------------------------------------------------------
 
     def add_clause_direct(self, literals) -> bool:
         """Validate locally, apply to the replica, and send (no acknowledgement)."""
         clause = canonical_clause(literals)
-        for lit in clause:
-            if abs(lit) > self.store.var_count:
-                raise ClauseRangeError(
-                    f"literal {lit} out of range (var count {self.store.var_count})"
-                )
-        added = self.store.add_clause(clause)
-        self._send(wire.encode_add_clause(list(clause)))
+        added = self.store._add_canonical(clause)
+        self._send(wire.encode_add_clause(clause))
         return added
 
     def add_variable(self) -> int:
@@ -156,20 +155,35 @@ class MemoryMirror:
         return index
 
     def reserve_variables(self, n: int) -> int:
-        """Lock, add ``n`` variables, unlock; returns the first new index."""
+        """Lock, add ``n`` variables, unlock; returns the first new index.
+
+        LOCK_VARS and ADD_VARS leave in one write and both replies are
+        awaited together. UNLOCK_VARS is sent only once the replica holds
+        the new variables, so no other peer's reservation can reach the
+        replica ahead of them.
+        """
         if n < 1:
             raise ValueError(f"variable count must be >= 1, got {n}")
         if self.pending_lock:
             raise LockTimeout("a lock sequence is already pending on this mirror")
         self.pending_lock = True
         try:
-            self._request(wire.encode_lock_vars(), wire.LOCK_GRANTED)
-            try:
-                first = self._request(wire.encode_add_vars(n), wire.FIRST_INDEX)
-            finally:
-                self._send(wire.encode_unlock_vars())
-            self._sync_var_count(first, n)
-            return first
+            with self._request_lock:
+                self._send(wire.encode_lock_vars() + wire.encode_add_vars(n))
+                try:
+                    self._response(wire.LOCK_GRANTED)
+                except LockTimeout:
+                    # denied because this connection already holds the lock:
+                    # the hub still applies ADD_VARS, so the replica follows it
+                    self._sync_var_count(self._response(wire.FIRST_INDEX), n)
+                    raise
+                try:
+                    first = self._response(wire.FIRST_INDEX)
+                    self._sync_var_count(first, n)
+                finally:
+                    # also after a failed sync: the hub must not keep the lock
+                    self._writer.send(wire.encode_unlock_vars())
+                return first
         finally:
             self.pending_lock = False
 
@@ -187,9 +201,20 @@ class MemoryMirror:
             self.store.add_variables(n)
 
     def close(self) -> None:
+        """Send every queued frame, then wait until the hub has applied them all.
+
+        The mirror half-closes its socket after the last frame; the hub
+        closes its side only once it has applied every frame before that.
+        Waits at most ``request_timeout``, then closes regardless.
+        """
         self.alive = False
+        deadline = time.monotonic() + self.request_timeout
+        self._writer.close()
+        self._writer.join(self.request_timeout)
+        self._reader.join(max(0.0, deadline - time.monotonic()))
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._stream.close()
         self._sock.close()

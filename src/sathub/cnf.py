@@ -121,7 +121,10 @@ class _CnfView:
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Canonicalize and store a clause; returns False if already visible."""
-        clause = canonical_clause(literals)
+        return self._add_canonical(canonical_clause(literals))
+
+    def _add_canonical(self, clause: tuple[int, ...]) -> bool:
+        """``add_clause`` for a clause already in ``canonical_clause`` form."""
         with self._family.lock:
             self._check_range(clause)
             if self._visible(clause):

@@ -8,7 +8,6 @@ fold-in from live memory views are checked at decision boundaries only.
 
 from __future__ import annotations
 
-import random
 import threading
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -71,7 +70,6 @@ class DpllSolver:
         self.units: list[int] = []
         self.empty_clause = False
         self.num_assigned = 0
-        self.rng = random.Random(0)
         self.ensure_vars(var_count)
 
     def ensure_vars(self, n: int) -> None:
@@ -362,7 +360,6 @@ def run(
     """
     settings = settings or DiversificationSettings()
     solver = DpllSolver(view.var_count)
-    solver.rng = random.Random(settings.rank)  # reserved for restart jitter
     poll = _view_reader(view)
     for clause in poll():
         solver.add_clause(clause)

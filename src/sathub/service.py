@@ -26,38 +26,63 @@ from . import wire
 from .cnf import ClauseRangeError, CnfStore, canonical_clause
 
 
-class _Connection:
-    """One direct-protocol peer: socket plus an ordered outbound queue."""
+class FrameWriter:
+    """Ordered outbound frames for one socket, sent by one writer thread.
 
-    def __init__(self, sock: socket.socket) -> None:
+    Each time the thread wakes it sends every frame queued so far in one
+    ``sendall``, in the order they were queued; it never waits for more.
+    ``close`` lets the queue drain and then shuts the socket down with
+    ``how``; a full shutdown (the hub's side) also closes the socket.
+    A hub peer's writer is also its identity (lock token, broadcast target).
+    """
+
+    def __init__(self, sock: socket.socket, how: int = socket.SHUT_RDWR) -> None:
         self.sock = sock
-        self._out: queue.SimpleQueue = queue.SimpleQueue()
         self.dead = False
-        self._writer = threading.Thread(target=self._write_loop, daemon=True)
-        self._writer.start()
+        self._how = how
+        self._out: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._write_loop, daemon=True)
+        self._thread.start()
 
-    def send(self, data: bytes) -> None:
-        if not self.dead:
-            self._out.put(data)
+    def send(self, data: bytes) -> bool:
+        """Queue one frame; False once a send has failed."""
+        if self.dead:
+            return False
+        self._out.put(data)
+        return True
 
     def close(self) -> None:
         self._out.put(None)
 
+    def join(self, timeout: Optional[float] = None) -> None:
+        self._thread.join(timeout)
+
     def _write_loop(self) -> None:
-        while True:
-            item = self._out.get()
-            if item is None:
-                break
-            try:
-                self.sock.sendall(item)
-            except OSError:
-                self.dead = True
-                break
+        out = self._out
+        open_ = True
+        while open_:
+            batch = []
+            item = out.get()
+            while True:
+                if item is None:
+                    open_ = False
+                    break
+                batch.append(item)
+                if out.empty():
+                    break
+                item = out.get()
+            if batch:
+                try:
+                    self.sock.sendall(b"".join(batch))
+                except OSError:
+                    self.dead = True
+                    break
         try:
-            self.sock.shutdown(socket.SHUT_RDWR)
+            self.sock.shutdown(self._how)
         except OSError:
             pass
-        self.sock.close()
+        if self._how == socket.SHUT_RDWR:
+            self.sock.close()
 
 
 class LockManager:
@@ -130,7 +155,7 @@ class MemoryObject:
         self.view = view
         self.object_id = uuid.uuid4().hex
         self.children: list[tuple[MemoryObject, bool]] = []
-        self.peers: list[_Connection] = []
+        self.peers: list[FrameWriter] = []
         self.closed = False
         if parent is not None and attached:
             self.var_owner = parent.var_owner
@@ -155,10 +180,10 @@ class MemoryObject:
                 return
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             threading.Thread(
-                target=self._serve_connection, args=(_Connection(sock),), daemon=True
+                target=self._serve_connection, args=(FrameWriter(sock),), daemon=True
             ).start()
 
-    def _serve_connection(self, conn: _Connection) -> None:
+    def _serve_connection(self, conn: FrameWriter) -> None:
         with self.view.family_lock:
             conn.send(
                 wire.encode_snapshot(
@@ -184,8 +209,9 @@ class MemoryObject:
                     self.peers.remove(conn)
             self.lock_mgr.release(conn)
             conn.close()
+            stream.close()
 
-    def _dispatch(self, conn: _Connection, opcode: int, payload) -> bool:
+    def _dispatch(self, conn: FrameWriter, opcode: int, payload) -> bool:
         """Handle one frame; False closes the connection."""
         if opcode == wire.ADD_CLAUSE:
             try:
@@ -195,7 +221,7 @@ class MemoryObject:
                 return True
             with self.view.family_lock:
                 try:
-                    added = self.view.add_clause(clause)
+                    added = self.view._add_canonical(clause)
                 except ClauseRangeError as exc:
                     conn.send(wire.encode_error(wire.ERR_OUT_OF_RANGE, str(exc)))
                     return True
@@ -254,17 +280,22 @@ class MemoryObject:
         conn.send(wire.encode_error(wire.ERR_MALFORMED, f"unexpected opcode {opcode}"))
         return False
 
-    def _broadcast_clause(self, clause: tuple, exclude: Optional[_Connection]) -> None:
-        """Send a newly visible clause down the attached-view tree; caller holds the lock."""
-        data = wire.encode_add_clause(list(clause))
+    def _broadcast_clause(
+        self, clause: tuple, exclude: Optional[FrameWriter], data: Optional[bytes] = None
+    ) -> None:
+        """Send a newly visible clause down the attached-view tree; caller holds the lock.
+
+        The frame is encoded once, and only if some peer receives it."""
         for peer in self.peers:
             if peer is not exclude:
+                if data is None:
+                    data = wire.encode_add_clause(clause)
                 peer.send(data)
         for child, attached in self.children:
             if attached and not child.view._locally_stored(clause):
-                child._broadcast_clause(clause, exclude)
+                child._broadcast_clause(clause, exclude, data)
 
-    def _broadcast_vars(self, n: int, exclude: Optional[_Connection]) -> None:
+    def _broadcast_vars(self, n: int, exclude: Optional[FrameWriter]) -> None:
         data = wire.encode_add_vars(n)
         for peer in self.peers:
             if peer is not exclude:
@@ -278,9 +309,11 @@ class MemoryObject:
     def close(self) -> None:
         self.closed = True
         try:
-            self._listener.close()
+            # wakes _accept_loop, which would otherwise pin this object forever
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
         with self.view.family_lock:
             peers, self.peers = self.peers, []
         for peer in peers:
@@ -358,7 +391,7 @@ class MemoryService:
             if method == "SatCnf.addClause":
                 clause = canonical_clause(argument.get("clause") or [])
                 with obj.view.family_lock:
-                    added = obj.view.add_clause(clause)
+                    added = obj.view._add_canonical(clause)
                     if added:
                         obj._broadcast_clause(clause, exclude=None)
                 return {"added": added}

@@ -1,0 +1,27 @@
+"""Smoke test of the benchmark: each workload runs end to end and its answers check.
+
+Timings are never asserted; this guards the benchmark's calls into the
+package (``reserve_variables``, ``add_clause_direct``, ``dpll.run``, the CLI).
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["factor", "encode"])
+def test_quick_run_answers_correctly(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "0", "--quick"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -391,3 +391,85 @@ def test_origin_clause_shadowed_by_fork_local_not_rebroadcast(service):
         assert fork_mirror.clauses().count([1]) == 1
     finally:
         fork_mirror.close()
+
+
+# -- write path: lifetime, reservation order, close barrier -----------------------
+
+
+def test_deleted_memories_leave_no_threads(service):
+    before = threading.active_count()
+    for _ in range(20):
+        obj = service.create_memory(0)
+        service.delete_memory(obj.object_id)
+    assert wait_until(lambda: threading.active_count() <= before)
+
+
+def test_reservation_updates_replica_before_unlock(service):
+    obj = service.create_memory(4)
+    a = connect(obj.direct_url)
+    b = connect(obj.direct_url)
+    results = {}
+    other = threading.Thread(
+        target=lambda: results.update(b=b.reserve_variables(8)), daemon=True
+    )
+    sync = a._sync_var_count
+
+    def slow_sync(first, n):
+        # another peer asks for the lock while this reservation is being applied
+        other.start()
+        time.sleep(0.2)
+        sync(first, n)
+
+    a._sync_var_count = slow_sync
+    try:
+        results["a"] = a.reserve_variables(8)
+        other.join(timeout=5)
+        assert not other.is_alive()
+        assert results == {"a": 5, "b": 13}
+        assert a.alive and b.alive
+        assert wait_until(lambda: a.var_count == b.var_count == obj.view.var_count == 20)
+    finally:
+        a.close(); b.close()
+
+
+def test_reservation_denied_to_lock_holder_keeps_replica_in_step(service):
+    obj = service.create_memory(0)
+    mirror = connect(obj.direct_url)
+    try:
+        mirror._request(wire.encode_lock_vars(), wire.LOCK_GRANTED)
+        with pytest.raises(LockTimeout):
+            mirror.reserve_variables(4)
+        # ADD_VARS went out with the refused LOCK_VARS and the hub applied it
+        assert mirror.var_count == obj.view.var_count == 4
+        mirror._send(wire.encode_unlock_vars())
+        assert mirror.reserve_variables(2) == 5
+        assert mirror.alive
+    finally:
+        mirror.close()
+
+
+def test_clauses_and_reservations_land_in_send_order(service):
+    obj = service.create_memory(0)
+    mirror = connect(obj.direct_url)
+    sent = []
+    for _ in range(20):
+        first = mirror.reserve_variables(4)
+        for var in range(first, first + 4):
+            clause = (-first, var) if var != first else (var,)
+            mirror.add_clause_direct(clause)
+            sent.append(clause)
+    mirror.close()
+    assert obj.view.var_count == 80
+    assert obj.view.clause_tuples() == sent
+
+
+def test_close_returns_once_the_hub_applied_every_clause(service):
+    clauses = [(v, -(v + 1)) for v in range(1, 3000)]
+    for _ in range(3):
+        obj = service.create_memory(3000)
+        mirror = connect(obj.direct_url)
+        for clause in clauses:
+            mirror.add_clause_direct(clause)
+        mirror.close()
+        assert obj.view.clause_tuples() == clauses
+        service.delete_memory(obj.object_id)
