@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     factor.set_defaults(func=cmd_factor)
 
-    solve = sub.add_parser("solve", help="solve a DIMACS file with the reference solver")
+    solve = sub.add_parser("solve", help="solve a DIMACS file with the CDCL reference solver")
     solve.add_argument("path")
     solve.set_defaults(func=cmd_solve)
 

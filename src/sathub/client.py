@@ -14,6 +14,7 @@ import queue
 import socket
 import threading
 import time
+from itertools import chain
 
 from . import wire
 from .cnf import ClauseRangeError, CnfStore, canonical_clause
@@ -46,6 +47,14 @@ def connect(direct_url: str, timeout: float = 5.0) -> "MemoryMirror":
     return MemoryMirror(sock, direct_url)
 
 
+def _snapshot_in_range(var_count: int, clauses: list[list[int]]) -> bool:
+    """Every clause non-empty and every literal a variable 1..var_count."""
+    lits = set(chain.from_iterable(clauses))
+    if not all(clauses) or 0 in lits:
+        return False
+    return not lits or (min(lits) >= -var_count and max(lits) <= var_count)
+
+
 class MemoryMirror:
     """Local replica of a remote SAT memory plus its direct-protocol channel."""
 
@@ -63,9 +72,13 @@ class MemoryMirror:
         if opcode != wire.SNAPSHOT:
             raise MirrorProtocolError(f"expected snapshot on connect, got opcode {opcode}")
         var_count, clauses = payload
+        if not _snapshot_in_range(var_count, clauses):
+            self._stream.close()
+            sock.close()
+            raise MirrorProtocolError("snapshot holds an empty clause or a literal out of range")
         self.store = CnfStore(var_count)
-        for clause in clauses:
-            self.store.add_clause(clause)
+        # the hub's clauses are already canonical and distinct
+        self.store._extend_canonical([tuple(c) for c in clauses])
 
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
@@ -86,6 +99,9 @@ class MemoryMirror:
 
     def clause_tuples(self) -> list[tuple[int, ...]]:
         return self.store.clause_tuples()
+
+    def clauses_since(self, cursor: tuple[int, ...] = ()):
+        return self.store.clauses_since(cursor)
 
     def evaluate(self, assignment) -> bool:
         return self.store.evaluate(assignment)
@@ -150,9 +166,12 @@ class MemoryMirror:
         return added
 
     def add_variable(self) -> int:
-        index = self._request(wire.encode_add_variable(), wire.VAR_INDEX)
-        self._sync_var_count(index, 1)
-        return index
+        """One new variable, reserved like ``reserve_variables(1)``.
+
+        ``ADD_VARIABLE`` would release the hub's lock with its reply, so
+        another peer's reservation could reach the replica first.
+        """
+        return self.reserve_variables(1)
 
     def reserve_variables(self, n: int) -> int:
         """Lock, add ``n`` variables, unlock; returns the first new index.

@@ -136,6 +136,9 @@ class _CnfView:
     def iter_clauses(self) -> Iterator[tuple[int, ...]]:
         """Visible clauses in insertion order, base layer first; call under family_lock
         or on a quiescent view."""
+        if len(self._chain) == 1:  # a base store: one live layer, no duplicates
+            yield from self._chain[0][0].clauses
+            return
         seen = set()
         for seg, limit in self._chain:
             body = seg.clauses if limit is None else seg.clauses[:limit]
@@ -152,6 +155,24 @@ class _CnfView:
     def clause_tuples(self) -> list[tuple[int, ...]]:
         with self._family.lock:
             return list(self.iter_clauses())
+
+    def clauses_since(self, cursor: tuple[int, ...] = ()) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+        """Clauses appended since ``cursor`` and the cursor to pass next time.
+
+        The cursor holds each layer's visible length, so a call reads only
+        the new clauses. ``()`` reads every visible clause. Unlike
+        ``iter_clauses`` there is no dedup across layers: a clause that an
+        attached origin gains after the fork already held it comes back again.
+        """
+        with self._family.lock:
+            fresh: list[tuple[int, ...]] = []
+            ends = []
+            for i, (seg, limit) in enumerate(self._chain):
+                end = len(seg.clauses) if limit is None else limit
+                start = cursor[i] if i < len(cursor) else 0
+                fresh.extend(seg.clauses[start:end])
+                ends.append(end)
+            return fresh, tuple(ends)
 
     def fork(self, detach: bool = False) -> "ForkView":
         """New layered view over this one; detached forks freeze the current state."""
@@ -191,6 +212,16 @@ class CnfStore(_CnfView):
         if var_count < 0:
             raise ValueError(f"initial variable count must be >= 0, got {var_count}")
         super().__init__([(_Segment(), None)], _Counter(var_count), _Family())
+
+    def _extend_canonical(self, clauses: list[tuple[int, ...]]) -> None:
+        """Append clauses that are canonical, distinct, in range and not yet
+        stored (a hub snapshot), without checking any of that."""
+        with self._family.lock:
+            seg = self._chain[0][0]
+            start = len(seg.clauses)
+            seg.clauses.extend(clauses)
+            seg.index.update(zip(clauses, range(start, len(seg.clauses))))
+            self._family.version += len(clauses)
 
 
 class ForkView(_CnfView):

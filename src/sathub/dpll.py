@@ -1,9 +1,20 @@
-"""Deterministic DPLL reference solver with pause/resume/cancel support.
+"""Deterministic CDCL reference solver with pause/resume/cancel support.
 
-Plain chronological DPLL over two watched literals: decisions pick the
-lowest-index unassigned variable, the first decision phase honors the
-diversification phases map (default false). Control flags and clause
-fold-in from live memory views are checked at decision boundaries only.
+Literals are flat codes: variable v is 2v when true and 2v+1 when false,
+so negation is ``code ^ 1`` and one list indexed by code holds every
+literal's value. Each clause is a plain list of codes watched by its first
+two entries (MiniSat, Eén & Sörensson 2003). A conflict is analysed back
+to its first unique implication point; the learned clause is kept and the
+search backjumps to the level where that clause becomes unit (GRASP,
+Marques-Silva & Sakallah 1999).
+
+Decisions take the lowest-index unassigned variable. Its phase is the
+value it held last (phase saving), or before that the diversification
+phases map (default false). There are no restarts, no activity heuristic
+and no clause deletion, so ``DpllSolver.learned`` holds every learned
+clause in derivation order: with the input clauses, a clausal proof of an
+UNSAT answer. Control flags and clause fold-in from live memory views are
+checked at decision boundaries only.
 """
 
 from __future__ import annotations
@@ -55,129 +66,253 @@ class SolveControl:
                 self._cv.wait()
 
 
+def _code(lit: int) -> int:
+    return lit << 1 if lit > 0 else (-lit << 1) | 1
+
+
+def _lit(code: int) -> int:
+    return -(code >> 1) if code & 1 else code >> 1
+
+
+def _halted(control: Optional[SolveControl]) -> bool:
+    """Observe pause and cancel at a decision boundary; True once cancelled."""
+    if control is None:
+        return False
+    if control.paused:
+        control.wait_while_paused()
+    return control.cancelled
+
+
 class DpllSolver:
-    """Incremental DPLL engine; clauses may be added between (or during) solves."""
+    """Incremental CDCL engine; clauses may be added between (or during) solves."""
 
     def __init__(self, var_count: int = 0) -> None:
         self.var_count = 0
-        self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
-        self.assign: list[Optional[bool]] = [None]
-        self.level: list[int] = [0]
+        self.vals: list[Optional[bool]] = [None, None]  # by literal code
+        self.watches: list[list[list[int]]] = [[], []]  # by literal code
+        self.level: list[int] = [0]  # by variable, as are the lists below
+        self.reason: list[Optional[list[int]]] = [None]
+        self.phase: list[int] = [1]  # low bit of the next decision's code
+        self.seen: list[bool] = [False]
+        self.phases: dict[int, bool] = {}
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
+        self.lim_cursor: list[int] = []  # decision cursor as each level opened
+        self.cursor = 1
         self.qhead = 0
-        self.units: list[int] = []
         self.empty_clause = False
-        self.num_assigned = 0
+        self.learnts: list[list[int]] = []  # learned clauses, in derivation order
         self.ensure_vars(var_count)
 
-    def ensure_vars(self, n: int) -> None:
-        while self.var_count < n:
-            self.var_count += 1
-            self.assign.append(None)
-            self.level.append(0)
-            self.watches[self.var_count] = []
-            self.watches[-self.var_count] = []
+    @property
+    def learned(self) -> list[tuple[int, ...]]:
+        """Every learned clause in derivation order, as DIMACS literals."""
+        return [tuple(map(_lit, clause)) for clause in self.learnts]
 
-    def value(self, lit: int) -> Optional[bool]:
-        v = self.assign[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+    def ensure_vars(self, n: int) -> None:
+        grow = n - self.var_count
+        if grow <= 0:
+            return
+        self.phase.extend(
+            0 if self.phases.get(v) else 1 for v in range(self.var_count + 1, n + 1)
+        )
+        self.var_count = n
+        self.vals.extend([None] * (2 * grow))
+        self.watches.extend([] for _ in range(2 * grow))
+        self.level.extend([0] * grow)
+        self.reason.extend([None] * grow)
+        self.seen.extend([False] * grow)
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a clause at level 0 (no search in progress)."""
-        lits = []
-        seen = set()
-        for lit in literals:
-            if lit not in seen:
-                seen.add(lit)
-                lits.append(lit)
-        if not lits:
+        codes = self._clean(literals)
+        if codes is not None:
+            self._add_level0(codes)
+
+    def load(self, clauses: Iterable[Sequence[int]]) -> None:
+        """``add_clause`` for canonical clauses over variables already ensured."""
+        add = self._add_level0
+        for clause in clauses:
+            add([lit << 1 if lit > 0 else (-lit << 1) | 1 for lit in clause])
+
+    def _clean(self, literals: Iterable[int]) -> Optional[list[int]]:
+        """Distinct codes of a clause with its variables ensured; None for a tautology."""
+        distinct = dict.fromkeys(_code(lit) for lit in literals)
+        if any(code ^ 1 in distinct for code in distinct):
+            return None
+        codes = list(distinct)
+        if codes:
+            self.ensure_vars(max(code >> 1 for code in codes))
+        return codes
+
+    def _assign(self, code: int, reason: Optional[list[int]]) -> None:
+        self.vals[code] = True
+        self.vals[code ^ 1] = False
+        self.level[code >> 1] = len(self.trail_lim)
+        self.reason[code >> 1] = reason
+        self.trail.append(code)
+
+    def _watch(self, codes: list[int]) -> None:
+        self.watches[codes[0]].append(codes)
+        self.watches[codes[1]].append(codes)
+
+    def _add_level0(self, codes: list[int]) -> None:
+        """Attach a clause of distinct codes while no decision is on the trail."""
+        vals = self.vals
+        if len(codes) > 1 and vals[codes[0]] is None and vals[codes[1]] is None:
+            self._watch(codes)
+            return
+        free = []
+        for code in codes:
+            value = vals[code]
+            if value:
+                return  # satisfied for good
+            if value is None:
+                free.append(code)
+        if not free:
             self.empty_clause = True
-            return
-        self.ensure_vars(max(abs(l) for l in lits))
-        if len(lits) == 1:
-            self.units.append(lits[0])
-            return
-        idx = len(self.clauses)
-        self.clauses.append(lits)
-        self.watches[lits[0]].append(idx)
-        self.watches[lits[1]].append(idx)
+        elif len(free) == 1:
+            self._assign(free[0], None)
+        else:
+            codes[:] = free + [code for code in codes if vals[code] is False]
+            self._watch(codes)
 
-    def _enqueue(self, lit: int, level: int) -> None:
-        var = abs(lit)
-        self.assign[var] = lit > 0
-        self.level[var] = level
-        self.trail.append(lit)
-        self.num_assigned += 1
+    def _attach_live(self, codes: list[int]) -> bool:
+        """Watch a clause mid-search; False if it needs the search rewound to level 0."""
+        vals = self.vals
+        free = [code for code in codes if vals[code] is not False]
+        if len(free) < 2:
+            return False
+        codes[:] = free + [code for code in codes if vals[code] is False]
+        self._watch(codes)
+        return True
 
-    def _propagate(self) -> Optional[int]:
-        """Unit propagation; returns a falsified clause index or None."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = -lit
-            watch_list = self.watches[falsified]
-            kept = []
-            i = 0
-            n = len(watch_list)
+    def _propagate(self) -> Optional[list[int]]:
+        """Unit propagation over the watches; returns a falsified clause or None."""
+        vals = self.vals
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        depth = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            ws = watches[false_lit]
+            n = len(ws)
+            i = j = 0
             while i < n:
-                ci = watch_list[i]
+                clause = ws[i]
                 i += 1
-                clause = self.clauses[ci]
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                other = clause[0]
-                other_val = self.value(other)
-                if other_val is True:
-                    kept.append(ci)
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if vals[first]:
+                    ws[j] = clause
+                    j += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self.value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1]].append(ci)
-                        moved = True
+                    lit = clause[k]
+                    if vals[lit] is not False:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        watches[lit].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if other_val is False:
-                    kept.extend(watch_list[i:])
-                    self.watches[falsified] = kept
-                    return ci
-                self._enqueue(other, len(self.trail_lim))
-            self.watches[falsified] = kept
+                else:
+                    ws[j] = clause
+                    j += 1
+                    if vals[first] is False:
+                        del ws[j:i]
+                        self.qhead = len(trail)
+                        return clause
+                    vals[first] = True
+                    vals[first ^ 1] = False
+                    level[first >> 1] = depth
+                    reason[first >> 1] = clause
+                    trail.append(first)
+            del ws[j:]
+        self.qhead = qhead
         return None
 
-    def _push_level(self) -> None:
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        """First-UIP clause of a conflict and the level to backjump to.
+
+        The asserting literal comes first and a literal of the backjump level
+        second, which are the two watches. Level-0 literals are left out: they
+        are false for good.
+        """
+        seen = self.seen
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        depth = len(self.trail_lim)
+        learnt = [0]
+        pending = 0
+        i = len(trail)
+        clause = conflict
+        while True:
+            for code in clause:
+                var = code >> 1
+                if not seen[var] and level[var]:
+                    seen[var] = True
+                    if level[var] == depth:
+                        pending += 1
+                    else:
+                        learnt.append(code)
+            i -= 1
+            while not seen[trail[i] >> 1]:
+                i -= 1
+            pending -= 1
+            if not pending:
+                break
+            # the implied literal heads its reason and is already seen
+            clause = reason[trail[i] >> 1]
+        learnt[0] = trail[i] ^ 1
+        for code in trail[i:]:
+            seen[code >> 1] = False
+        for code in learnt:
+            seen[code >> 1] = False
+        back = 0
+        for k in range(1, len(learnt)):
+            if level[learnt[k] >> 1] > back:
+                back = level[learnt[k] >> 1]
+                learnt[1], learnt[k] = learnt[k], learnt[1]
+        return learnt, back
+
+    def _backjump(self, depth: int) -> None:
+        """Undo every level above ``depth``, saving each variable's phase."""
+        if len(self.trail_lim) <= depth:
+            return
+        vals = self.vals
+        phase = self.phase
+        mark = self.trail_lim[depth]
+        for code in self.trail[mark:]:
+            vals[code] = vals[code ^ 1] = None
+            phase[code >> 1] = code & 1
+        del self.trail[mark:]
+        del self.trail_lim[depth:]
+        self.cursor = self.lim_cursor[depth]
+        del self.lim_cursor[depth:]
+        self.qhead = mark
+
+    def _open_level(self) -> None:
         self.trail_lim.append(len(self.trail))
+        self.lim_cursor.append(self.cursor)
 
-    def _undo_level(self) -> None:
-        mark = self.trail_lim.pop()
-        while len(self.trail) > mark:
-            lit = self.trail.pop()
-            self.assign[abs(lit)] = None
-            self.num_assigned -= 1
-        self.qhead = len(self.trail)
-
-    def _backtrack_to(self, level: int, decisions: list) -> None:
-        while len(self.trail_lim) > level:
-            self._undo_level()
-            decisions.pop()
-
-    def _integrate_level0(self) -> bool:
-        """Apply pending unit clauses at level 0; False means UNSAT."""
-        for lit in self.units:
-            val = self.value(lit)
-            if val is False:
-                return False
-            if val is None:
-                self._enqueue(lit, 0)
-        self.units = []
-        return True
+    def _fold_in(self, clauses: list) -> None:
+        """Attach clauses that appeared on the live view mid-search."""
+        for clause in clauses:
+            codes = self._clean(clause)
+            if codes is None:
+                continue
+            if self.trail_lim:
+                if codes and self._attach_live(codes):
+                    continue
+                self._backjump(0)
+            self._add_level0(codes)
 
     def solve(
         self,
@@ -189,157 +324,75 @@ class DpllSolver:
         exporter: Optional[Callable[[list[int]], None]] = None,
         export_max_len: int = 0,
     ) -> SolveOutcome:
-        phases = phases or {}
-        # decisions: [literal, flipped, is_assumption, saved cursor]
-        decisions: list[list] = []
-        cursor = 1
-        decision_count = 0
-
-        if exporter is not None and assumptions:
-            raise ValueError("clause export is unsound under assumptions")
-        if poll_clauses is not None and assumptions:
-            raise ValueError("live fold-in not supported under assumptions")
-
+        self.phases = phases or {}
+        self.phase[1:] = [0 if self.phases.get(v) else 1 for v in range(1, self.var_count + 1)]
+        assumed = [_code(lit) for lit in assumptions]
+        for code in assumed:
+            self.ensure_vars(code >> 1)
+        vals = self.vals
+        trail_lim = self.trail_lim
+        self.cursor = 1
+        decisions = 0
         try:
-            if self.empty_clause or not self._integrate_level0():
-                return SolveOutcome(UNSAT)
-            if self._propagate() is not None:
-                return SolveOutcome(UNSAT)
-
-            for lit in assumptions:
-                self.ensure_vars(abs(lit))
-                val = self.value(lit)
-                if val is False:
-                    return SolveOutcome(UNSAT)
-                if val is None:
-                    self._push_level()
-                    decisions.append([lit, True, True, cursor])
-                    self._enqueue(lit, len(self.trail_lim))
-                    if self._propagate() is not None:
-                        return SolveOutcome(UNSAT)
-
             while True:
+                if self.empty_clause:
+                    return SolveOutcome(UNSAT)
                 conflict = self._propagate()
                 if conflict is not None:
-                    if exporter is not None and export_max_len > 0:
-                        learned = [-d[0] for d in decisions if not d[2]]
-                        if 0 < len(learned) <= export_max_len:
-                            exporter(learned)
-                    while True:
-                        if not decisions:
-                            return SolveOutcome(UNSAT)
-                        lit, flipped, is_assumption, saved = decisions[-1]
-                        if is_assumption:
-                            return SolveOutcome(UNSAT)
-                        self._undo_level()
-                        decisions.pop()
-                        cursor = saved
-                        if not flipped:
-                            self._push_level()
-                            decisions.append([-lit, True, False, saved])
-                            self._enqueue(-lit, len(self.trail_lim))
-                            break
+                    if not trail_lim:
+                        self.empty_clause = True
+                        return SolveOutcome(UNSAT)
+                    learnt, back = self._analyze(conflict)
+                    self._backjump(back)
+                    self.learnts.append(learnt)
+                    if len(learnt) <= export_max_len and exporter is not None:
+                        exporter([_lit(code) for code in learnt])
+                    if len(learnt) > 1:
+                        self._watch(learnt)
+                        self._assign(learnt[0], learnt)
+                    else:
+                        self._assign(learnt[0], None)
                     continue
 
                 # decision boundary: control signals, live-view fold-in, hooks
-                if control is not None:
-                    if control.cancelled:
-                        return SolveOutcome(UNKNOWN)
-                    if control.paused:
-                        control.wait_while_paused()
-                        if control.cancelled:
-                            return SolveOutcome(UNKNOWN)
+                if _halted(control):
+                    return SolveOutcome(UNKNOWN)
                 if poll_clauses is not None:
-                    status = self._fold_in(poll_clauses, decisions)
-                    if status == "rewound":
-                        cursor = 1
-                        continue
-                    if status == "unsat":
+                    fresh = poll_clauses()
+                    if fresh:
+                        self._fold_in(fresh)
+                        if self.qhead < len(self.trail) or self.empty_clause:
+                            continue
+                if len(trail_lim) < len(assumed):
+                    code = assumed[len(trail_lim)]
+                    if vals[code] is False:
                         return SolveOutcome(UNSAT)
-
-                if self.num_assigned == self.var_count:
-                    model = [bool(self.assign[v]) for v in range(1, self.var_count + 1)]
-                    return SolveOutcome(SAT, model=model)
-
-                while self.assign[cursor] is not None:
-                    cursor += 1
-                var = cursor
-                phase = phases.get(var, False)
-                decision_count += 1
-                if on_decision is not None:
-                    on_decision(decision_count)
-                    if control is not None:
-                        if control.cancelled:
-                            return SolveOutcome(UNKNOWN)
-                        if control.paused:
-                            control.wait_while_paused()
-                            if control.cancelled:
-                                return SolveOutcome(UNKNOWN)
-                self._push_level()
-                lit = var if phase else -var
-                decisions.append([lit, False, False, cursor])
-                self._enqueue(lit, len(self.trail_lim))
-        finally:
-            while self.trail_lim:
-                self._undo_level()
-            self.qhead = 0
-            # level-0 trail persists: those assignments are forced
-
-    def _fold_in(self, poll_clauses: Callable[[], list], decisions: list) -> str:
-        """Integrate clauses that appeared on the live view mid-search."""
-        new_clauses = poll_clauses()
-        if not new_clauses:
-            return "ok"
-        rewound = False
-        for lits in new_clauses:
-            lits = list(lits)
-            if not lits:
-                self.empty_clause = True
-                return "unsat"
-            self.ensure_vars(max(abs(l) for l in lits))
-            if not rewound:
-                non_false = [l for l in lits if self.value(l) is not False]
-                if len(non_false) >= 2:
-                    idx = len(self.clauses)
-                    self.clauses.append(
-                        non_false + [l for l in lits if self.value(l) is False]
-                    )
-                    self.watches[non_false[0]].append(idx)
-                    self.watches[non_false[1]].append(idx)
+                    self._open_level()  # empty if the assumption already holds
+                    if vals[code] is None:
+                        self._assign(code, None)
                     continue
-                # unit or falsified under the current trail: rewind to level 0
-                self._backtrack_to(0, decisions)
-                rewound = True
-            self.add_clause(lits)
-        if rewound:
-            if self.empty_clause or not self._integrate_level0():
-                return "unsat"
-            # rescanning the level-0 trail lets the fresh clauses propagate
-            # even when their initial watches are already-false literals
-            self.qhead = 0
-            return "rewound"
-        return "ok"
+
+                var = self.cursor
+                n = self.var_count
+                while var <= n and vals[var << 1] is not None:
+                    var += 1
+                self.cursor = var
+                if var > n:
+                    return SolveOutcome(SAT, model=vals[2::2])
+                decisions += 1
+                if on_decision is not None:
+                    on_decision(decisions)
+                    if _halted(control):
+                        return SolveOutcome(UNKNOWN)
+                self._open_level()
+                self._assign((var << 1) | self.phase[var], None)
+        finally:
+            self._backjump(0)  # level-0 assignments persist: they are forced
 
 
-def _view_reader(view):
-    """Adapter for memory views: snapshot plus incremental clause polling."""
-    seen: set[tuple[int, ...]] = set()
-    last_version = -1
-
-    def poll() -> list:
-        nonlocal last_version
-        version = view.version
-        if version == last_version:
-            return []
-        last_version = version
-        fresh = []
-        for clause in view.clause_tuples():
-            if clause not in seen:
-                seen.add(clause)
-                fresh.append(clause)
-        return fresh
-
-    return poll
+def _satisfies(model: list[bool], clauses: list[tuple[int, ...]]) -> bool:
+    true = {var if value else -var for var, value in enumerate(model, 1)}
+    return not any(map(true.isdisjoint, clauses))
 
 
 def run(
@@ -355,27 +408,34 @@ def run(
 
     Returns SAT with a full model, UNSAT, or UNKNOWN after a cancel. New
     clauses appearing on the view during the search are folded in at decision
-    boundaries; with ``export`` enabled, short conflict-derived clauses are
-    pushed back to the view.
+    boundaries; with ``export`` enabled, learned clauses of at most
+    ``export_max_len`` literals are pushed back to the view. A SAT model is
+    checked against every clause taken from the view before it is returned.
     """
     settings = settings or DiversificationSettings()
+    version = view.version
+    taken, cursor = view.clauses_since()
     solver = DpllSolver(view.var_count)
-    poll = _view_reader(view)
-    for clause in poll():
-        solver.add_clause(clause)
+
+    def poll_live() -> list:
+        nonlocal version, cursor
+        if getattr(view, "alive", True) is False:
+            raise ConnectionError("memory view lost")
+        if view.version == version:
+            return []
+        version = view.version
+        fresh, cursor = view.clauses_since(cursor)
+        solver.ensure_vars(view.var_count)
+        taken.extend(fresh)
+        return fresh
 
     exporter = None
     if export:
         def exporter(clause: list[int]) -> None:
             export_learned(view, clause)
 
-    def poll_live() -> list:
-        if getattr(view, "alive", True) is False:
-            raise ConnectionError("memory view lost")
-        solver.ensure_vars(view.var_count)
-        return poll()
-
     try:
+        solver.load(taken)
         outcome = solver.solve(
             phases=settings.phases or {},
             control=control,
@@ -388,14 +448,15 @@ def run(
         return SolveOutcome(UNKNOWN, error="MEMORY_UNAVAILABLE")
     except Exception as exc:  # surface as UNKNOWN per solver contract
         return SolveOutcome(UNKNOWN, error=str(exc))
-    if outcome.result == SAT and len(outcome.model or []) < view.var_count:
-        model = list(outcome.model or [])
-        model += [False] * (view.var_count - len(model))
+    if outcome.result == SAT:
+        model = outcome.model + [False] * (view.var_count - len(outcome.model))
+        if not _satisfies(model, taken):
+            return SolveOutcome(UNKNOWN, error="MODEL_CHECK_FAILED")
         outcome = SolveOutcome(SAT, model=model)
     return outcome
 
 
 def export_learned(view, clause: Sequence[int]) -> None:
-    """Push a conflict-derived clause to the solver's own memory view."""
+    """Push a learned clause to the solver's own memory view."""
     adder = getattr(view, "add_clause_direct", None) or view.add_clause
     adder(list(clause))

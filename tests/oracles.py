@@ -151,3 +151,47 @@ def php_clauses(pigeons: int, holes: int):
             for p2 in range(p1 + 1, pigeons + 1):
                 clauses.append([-var(p1, h), -var(p2, h)])
     return clauses, pigeons * holes
+
+
+def propagates_to_conflict(clauses, assumed) -> bool:
+    """Whether unit propagation over ``clauses`` from the literals ``assumed`` falsifies a clause."""
+    true = set()
+    for lit in assumed:
+        if -lit in true:
+            return True
+        true.add(lit)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            unit = None
+            open_count = 0
+            for lit in clause:
+                if lit in true:
+                    break
+                if -lit not in true:
+                    open_count += 1
+                    unit = lit
+            else:
+                if open_count == 0:
+                    return True
+                if open_count == 1:
+                    true.add(unit)
+                    changed = True
+    return False
+
+
+def rup_refutes(clauses, lemmas) -> bool:
+    """Forward RUP check of a refutation.
+
+    Each lemma in turn, then the empty clause, must yield a conflict by unit
+    propagation from its negation over ``clauses`` plus the lemmas before
+    it. So every lemma is implied by ``clauses``, and ``clauses`` is
+    unsatisfiable.
+    """
+    derived = [list(c) for c in clauses]
+    for lemma in [*lemmas, ()]:
+        if not propagates_to_conflict(derived, [-lit for lit in lemma]):
+            return False
+        derived.append(list(lemma))
+    return True

@@ -23,7 +23,7 @@ from sathub.service import MemoryService
 from sathub.solving import DiversificationSettings, SolveCall, SolverBusy, SolverRegistry, SolverWorker, parallelize
 
 from gens import gated_php, random_cnf, random_expr
-from oracles import cnf_satisfiable, expr_mask, php_clauses, table_context, two_factor_pairs
+from oracles import cnf_satisfiable, expr_mask, php_clauses, rup_refutes, table_context, two_factor_pairs
 
 
 def report(criterion: int, detail: str) -> None:
@@ -280,7 +280,7 @@ def test_criterion_08_lock_protocol_1000_reservations():
 def test_criterion_09_solver_lifecycle():
     # BUSY on concurrent solve with timeout 0
     worker = SolverWorker()
-    clauses, n = php_clauses(9, 8)
+    clauses, n = php_clauses(11, 10)
     store = CnfStore(n)
     for clause in clauses:
         store.add_clause(clause)
@@ -352,7 +352,7 @@ def test_criterion_10_parallelize_join():
         if outcome.result == "SAT":
             assert easy.evaluate(outcome.model)
 
-    clauses, n = gated_php(9, 8)
+    clauses, n = gated_php(11, 10)
     hard = CnfStore(n)
     for clause in clauses:
         hard.add_clause(clause)
@@ -398,9 +398,10 @@ def test_criterion_11_protocol_conformance():
     report(11, f"{len(golden)} opcodes byte-exact, including ADD_CLAUSE [1,-2]")
 
 
-def test_criterion_12_reference_solver_vs_brute_force():
+def test_criterion_12_reference_solver_vs_brute_force(run_solvers):
     rng = random.Random(31337)
     disagreements = 0
+    refutations = 0
     for _ in range(500):
         clauses, n = random_cnf(rng, max_vars=12, max_clauses=40)
         outcome, store = solve_clauses(clauses, n)
@@ -409,5 +410,13 @@ def test_criterion_12_reference_solver_vs_brute_force():
             disagreements += 1
         if outcome.result == "SAT":
             assert store.evaluate(outcome.model)
+        if outcome.result == "UNSAT":
+            # the learned clauses, then the empty clause, follow by unit propagation
+            assert rup_refutes(store.clause_tuples(), run_solvers[-1].learned)
+            refutations += 1
     assert disagreements == 0
-    report(12, "500 random CNFs (<=12 vars, <=40 clauses): zero disagreements with brute force")
+    report(
+        12,
+        "500 random CNFs (<=12 vars, <=40 clauses): zero disagreements with brute force; "
+        f"{refutations} UNSAT answers RUP-certified",
+    )

@@ -2,12 +2,14 @@ import random
 import threading
 import time
 
+from sathub.client import connect
 from sathub.cnf import CnfStore
 from sathub.dpll import DpllSolver, SolveControl, export_learned, run
+from sathub.service import MemoryService
 from sathub.solving import DiversificationSettings
 
 from gens import random_cnf
-from oracles import cnf_satisfiable, php_clauses
+from oracles import cnf_satisfiable, php_clauses, rup_refutes
 
 
 def make_store(clauses, n):
@@ -46,10 +48,12 @@ def test_default_phase_false():
     assert outcome.model == [False, True]
 
 
-def test_pigeonhole_3_2_unsat():
+def test_pigeonhole_3_2_unsat(run_solvers):
     clauses, n = php_clauses(3, 2)
     assert cnf_satisfiable(clauses, n) is False
-    assert run(make_store(clauses, n)).result == "UNSAT"
+    store = make_store(clauses, n)
+    assert run(store).result == "UNSAT"
+    assert rup_refutes(store.clause_tuples(), run_solvers[-1].learned)
 
 
 def test_empty_store_is_sat():
@@ -58,7 +62,7 @@ def test_empty_store_is_sat():
     assert outcome.model == [False, False, False]
 
 
-def test_agreement_with_brute_force_500_instances():
+def test_agreement_with_brute_force_500_instances(run_solvers):
     rng = random.Random(2024)
     disagreements = 0
     for _ in range(500):
@@ -70,6 +74,8 @@ def test_agreement_with_brute_force_500_instances():
             disagreements += 1
         if outcome.result == "SAT":
             assert store.evaluate(outcome.model)
+        if outcome.result == "UNSAT":
+            assert rup_refutes(store.clause_tuples(), run_solvers[-1].learned)
     assert disagreements == 0
 
 
@@ -84,7 +90,8 @@ def test_determinism():
 
 
 def test_cancel_returns_unknown():
-    clauses, n = php_clauses(8, 7)
+    # PHP 11/10 takes seconds to refute, so the cancel lands mid-search
+    clauses, n = php_clauses(11, 10)
     store = make_store(clauses, n)
     control = SolveControl()
     result = {}
@@ -218,8 +225,12 @@ def test_export_learned_short_clauses():
     outcome = solver.solve(exporter=exported.append, export_max_len=2)
     assert outcome.result == "UNSAT"
     assert exported  # the 2x2 contradiction yields conflict-derived clauses
+    learned = {frozenset(c) for c in solver.learned}
     for clause in exported:
         assert 1 <= len(clause) <= 2
+        assert frozenset(clause) in learned
+    # every learned clause, exported or not, follows from the original ones
+    assert rup_refutes(store.clause_tuples(), solver.learned)
 
 
 def test_export_learned_goes_to_own_view():
@@ -231,15 +242,19 @@ def test_export_learned_goes_to_own_view():
     assert [-1, -2] not in store.clauses()
 
 
-def test_learned_clause_length_gate():
+def test_learned_clause_length_gate(run_solvers):
     # clauses exported during a real run never exceed the cap
     clauses, n = php_clauses(4, 3)
     store = make_store(clauses, n)
-    before = len(store.clauses())
+    original = store.clause_tuples()
     outcome = run(store, export=True, export_max_len=2)
     assert outcome.result == "UNSAT"
-    for clause in store.clause_tuples()[before:]:
+    learned = {frozenset(c) for c in run_solvers[-1].learned}
+    for clause in store.clause_tuples()[len(original):]:
         assert len(clause) <= 2
+        assert frozenset(clause) in learned
+    # the derivation holds over the original clauses alone
+    assert rup_refutes(original, run_solvers[-1].learned)
 
 
 def test_unsat_with_assumption_conflict_at_setup():
@@ -247,3 +262,82 @@ def test_unsat_with_assumption_conflict_at_setup():
     solver.add_clause([1])
     assert solver.solve(assumptions=[-1]).result == "UNSAT"
     assert solver.solve(assumptions=[1]).result == "SAT"
+
+
+def test_model_check_rejects_a_wrong_model(monkeypatch):
+    store = make_store([[1], [-2], [2, 3]], 3)
+    assert run(store).model == [True, False, True]
+    solve = DpllSolver.solve
+
+    def flip_first_bit(self, *args, **kwargs):
+        outcome = solve(self, *args, **kwargs)
+        outcome.model[0] = not outcome.model[0]
+        return outcome
+
+    monkeypatch.setattr(DpllSolver, "solve", flip_first_bit)
+    outcome = run(store)
+    assert outcome.result == "UNKNOWN"
+    assert outcome.error == "MODEL_CHECK_FAILED"
+    assert outcome.model is None
+
+
+def test_fold_in_reads_only_appended_clauses():
+    class CountingStore(CnfStore):
+        """Counts the clauses each read returns; a full rescan fails the test."""
+
+        def __init__(self, n):
+            super().__init__(n)
+            self.reads = []
+
+        def clauses_since(self, cursor=()):
+            fresh, cursor = super().clauses_since(cursor)
+            self.reads.append(len(fresh))
+            return fresh, cursor
+
+        def iter_clauses(self):
+            raise AssertionError("the view was rescanned")
+
+    store = CountingStore(2001)
+    for var in range(1, 2001):
+        store.add_clause([var, var + 1])
+
+    def hook(k):
+        if k == 1:
+            store.add_clause([1, -1, 2, -2])
+
+    outcome = run(store, on_decision=hook)
+    assert outcome.result == "SAT"
+    assert store.reads[0] == 2000
+    assert sum(store.reads[1:]) == 1
+
+
+def test_fold_in_over_a_mirror_reads_only_appended_clauses():
+    service = MemoryService()
+    try:
+        obj = service.create_memory(2001)
+        for var in range(1, 2001):
+            obj.view.add_clause([var, var + 1])
+        mirror = connect(obj.direct_url)
+        reads = []
+        since = mirror.clauses_since
+
+        def counted(cursor=()):
+            fresh, cursor = since(cursor)
+            reads.append(len(fresh))
+            return fresh, cursor
+
+        mirror.clauses_since = counted
+
+        def hook(k):
+            if k == 1:
+                mirror.add_clause_direct([2001, -2001])
+
+        try:
+            outcome = run(mirror, on_decision=hook)
+        finally:
+            mirror.close()
+        assert outcome.result == "SAT"
+        assert reads[0] == 2000
+        assert sum(reads[1:]) == 1
+    finally:
+        service.shutdown()

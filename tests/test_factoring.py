@@ -4,7 +4,7 @@ from sathub.cnf import CnfStore
 from sathub.dpll import DpllSolver, run
 from sathub.factoring import FactorizationSpec, build_factorization, decode_model
 
-from oracles import two_factor_pairs
+from oracles import rup_refutes, two_factor_pairs
 
 
 def encode(l, product):
@@ -64,9 +64,10 @@ def test_product_15_factors_5_and_3():
     assert (u, v) == (5, 3)
 
 
-def test_product_23_prime_unsat():
+def test_product_23_prime_unsat(run_solvers):
     _, store, _ = encode(4, 23)
     assert run(store).result == "UNSAT"
+    assert rup_refutes(store.clause_tuples(), run_solvers[-1].learned)
 
 
 def test_product_49_square():
@@ -83,7 +84,7 @@ def test_product_25_square():
     assert decode_model(outcome.model, spec) == (5, 5)
 
 
-def test_exhaustive_l4_products_4_to_49():
+def test_exhaustive_l4_products_4_to_49(run_solvers):
     for product in range(4, 50):
         spec, store, _ = encode(4, product)
         expected_pairs = two_factor_pairs(product, 2, 7)
@@ -96,6 +97,7 @@ def test_exhaustive_l4_products_4_to_49():
             assert (u, v) in expected_pairs, product
         else:
             assert outcome.result == "UNSAT", product
+            assert rup_refutes(store.clause_tuples(), run_solvers[-1].learned), product
 
 
 def test_uniqueness_for_distinct_prime_semiprimes():
@@ -127,10 +129,11 @@ def test_l8_semiprime():
     assert (u, v) == (97, 89)
 
 
-def test_l2_unrepresentable_factors_unsat():
+def test_l2_unrepresentable_factors_unsat(run_solvers):
     # 2-bit nonnegative factors cannot reach 2, so any l=2 instance is UNSAT
     _, store, _ = encode(2, 4)
     assert run(store).result == "UNSAT"
+    assert rup_refutes(store.clause_tuples(), run_solvers[-1].learned)
 
 
 def test_remaining_variables_all_determined():

@@ -84,7 +84,7 @@ def test_solve_over_http(node):
 
 
 def test_busy_over_http(node):
-    clauses, n = gated_php(9, 8)
+    clauses, n = gated_php(11, 10)
     created = fill_memory(node, clauses, n)
     solver_id = call(node, "Kernel.listSolvers")["solvers"][0]["solverId"]
 

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from sathub import wire
-from sathub.client import LockTimeout, connect, parse_direct_url
+from sathub.client import LockTimeout, MemoryMirror, MirrorProtocolError, connect, parse_direct_url
 from sathub.cnf import ClauseRangeError
 from sathub.service import MemoryService
 
@@ -122,6 +122,28 @@ def test_connect_bad_url():
         parse_direct_url("http://example/1")
     with pytest.raises(OSError):
         connect("tcp://127.0.0.1:1", timeout=0.3)
+
+
+@pytest.mark.parametrize("clauses", [[[1, 0]], [[]], [[1, -2], [3, 4]], [[-4]]])
+def test_malformed_snapshot_is_refused(clauses):
+    # the replica takes the snapshot in bulk, so only this range check guards it
+    hub, sock = socket.socketpair()
+    try:
+        hub.sendall(wire.encode_snapshot(3, clauses))
+        with pytest.raises(MirrorProtocolError):
+            MemoryMirror(sock, "tcp://127.0.0.1:0")
+    finally:
+        hub.close(); sock.close()
+
+
+def test_well_formed_snapshot_is_taken_whole():
+    hub, sock = socket.socketpair()
+    hub.sendall(wire.encode_snapshot(3, [[-3], [1, -2, 3]]))
+    mirror = MemoryMirror(sock, "tcp://127.0.0.1:0")
+    hub.close()
+    mirror.close()
+    assert mirror.var_count == 3
+    assert mirror.clauses() == [[-3], [1, -2, 3]]
 
 
 def test_hub_broadcast_excludes_originator(service):
@@ -272,6 +294,47 @@ def test_disconnect_releases_lock(service):
         assert other.add_variable() == 1
     finally:
         other.close()
+
+
+@pytest.mark.parametrize("let_go", ["unlock", "disconnect", "timeout"])
+def test_lock_blocks_raw_add_variable(let_go):
+    # mirrors reserve with LOCK_VARS; the hub still takes its lock for a raw ADD_VARIABLE
+    timeout = 0.3 if let_go == "timeout" else 10.0
+    svc = MemoryService(lock_timeout=timeout)
+    try:
+        obj = svc.create_memory(0)
+        holder = connect(obj.direct_url)
+        other = connect(obj.direct_url)
+        asked = time.monotonic()
+        holder._request(wire.encode_lock_vars(), wire.LOCK_GRANTED)
+        result = {}
+
+        def raw_add():
+            result["index"] = other._request(wire.encode_add_variable(), wire.VAR_INDEX)
+            result["at"] = time.monotonic()
+
+        t = threading.Thread(target=raw_add, daemon=True)
+        t.start()
+        if let_go == "timeout":
+            t.join(timeout=5)
+            assert result["index"] == 1
+            assert result["at"] - asked >= timeout  # held until force-released
+            opcode, payload = holder._responses.get(timeout=5)
+            assert (opcode, payload[0]) == (wire.ERROR, wire.ERR_LOCKED)
+        else:
+            time.sleep(0.15)
+            assert "index" not in result  # queued behind the lock
+            if let_go == "unlock":
+                assert holder._request(wire.encode_add_vars(4), wire.FIRST_INDEX) == 1
+                holder._send(wire.encode_unlock_vars())
+            else:
+                holder.close()
+            t.join(timeout=5)
+            assert result["index"] == (5 if let_go == "unlock" else 1)
+        assert obj.view.var_count == result["index"]
+        holder.close(); other.close()
+    finally:
+        svc.shutdown()
 
 
 def test_malformed_frame_closes_connection(service):
@@ -430,6 +493,45 @@ def test_reservation_updates_replica_before_unlock(service):
         assert wait_until(lambda: a.var_count == b.var_count == obj.view.var_count == 20)
     finally:
         a.close(); b.close()
+
+
+def test_add_variable_updates_replica_before_unlock(service):
+    obj = service.create_memory(4)
+    a = connect(obj.direct_url)
+    b = connect(obj.direct_url)
+    results = {}
+    other = threading.Thread(
+        target=lambda: results.update(b=b.reserve_variables(8)), daemon=True
+    )
+    sync = a._sync_var_count
+
+    def slow_sync(first, n):
+        # another peer asks for the lock while this variable is being applied
+        other.start()
+        time.sleep(0.2)
+        sync(first, n)
+
+    a._sync_var_count = slow_sync
+    try:
+        results["a"] = a.add_variable()
+        other.join(timeout=5)
+        assert not other.is_alive()
+        assert results == {"a": 5, "b": 6}
+        assert a.alive and b.alive
+        assert wait_until(lambda: a.var_count == b.var_count == obj.view.var_count == 13)
+    finally:
+        a.close(); b.close()
+
+
+def test_hub_still_answers_add_variable(service):
+    # mirrors reserve single variables with LOCK_VARS+ADD_VARS; the opcode stays valid
+    obj = service.create_memory(2)
+    mirror = connect(obj.direct_url)
+    try:
+        assert mirror._request(wire.encode_add_variable(), wire.VAR_INDEX) == 3
+        assert obj.view.var_count == 3
+    finally:
+        mirror.close()
 
 
 def test_reservation_denied_to_lock_holder_keeps_replica_in_step(service):

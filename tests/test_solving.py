@@ -32,7 +32,7 @@ def make_store(clauses, n):
 
 
 def slow_store():
-    clauses, n = php_clauses(9, 8)
+    clauses, n = php_clauses(11, 10)
     return make_store(clauses, n)
 
 
@@ -264,7 +264,7 @@ def test_memory_deleted_mid_search_returns_unknown():
     try:
         worker = SolverWorker()
         obj = service.create_memory(0)
-        clauses, n = php_clauses(9, 8)
+        clauses, n = php_clauses(11, 10)
         obj.view.add_variables(n)
         for clause in clauses:
             obj.view.add_clause(clause)
@@ -343,7 +343,7 @@ def test_parallelize_first_sat_cancels_siblings():
     registry = SolverRegistry()
     for _ in range(3):
         SolverWorker(registry)
-    clauses, n = gated_php(9, 8)
+    clauses, n = gated_php(11, 10)
     store = make_store(clauses, n)
     calls = [
         SolveCall(
@@ -400,7 +400,7 @@ def test_single_instance_rule_under_contention():
         var_count = 1
         version = 0
 
-        def clause_tuples(self):
+        def clauses_since(self, cursor=()):
             with lock:
                 active.append(1)
                 if len(active) > 1:
@@ -408,7 +408,7 @@ def test_single_instance_rule_under_contention():
             time.sleep(0.01)
             with lock:
                 active.pop()
-            return [(1,)]
+            return [(1,)], (1,)
 
     def attempt():
         try:
