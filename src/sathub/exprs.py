@@ -1,16 +1,14 @@
 """Boolean expression DAGs and their equisatisfiable CNF lowering.
 
-Lowering follows a fixed pipeline: auxiliary connectives are rewritten into
-And/Or/Not, negations are pushed to the leaves (De Morgan), inner
-conjunctions/disjunctions get fresh definition variables, definitions with
-more than two literals on the right are split into binary ones, and each
-binary definition is expanded into clauses by truth table. Every definition
-is a full equivalence, so CNF models extend formula models uniquely.
+``lower_to_cnf`` builds a DAG as a circuit with ``sathub.circuits`` (one
+Tseitin gate per connective, with constant folding and structural sharing)
+and asserts the output literal with a unit clause. Every gate is a full
+equivalence, so CNF models extend formula models uniquely.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 VAR = "VAR"
 CONST = "CONST"
@@ -135,187 +133,27 @@ def eval_expr(node: ExprNode, assignment: Sequence[bool]) -> bool:
     return go(node)
 
 
-def rewrite_aux(node: ExprNode) -> ExprNode:
-    """Re-phrase Xor/Majority/Implication/Equivalence using And, Or, Not."""
-    memo: dict[int, ExprNode] = {}
-
-    def go(n: ExprNode) -> ExprNode:
-        key = id(n)
-        if key in memo:
-            return memo[key]
-        if n.kind in (VAR, CONST):
-            out = n
-        elif n.kind == NOT:
-            out = ExprNode.not_(go(n.children[0]))
-        elif n.kind in (AND, OR):
-            out = ExprNode(n.kind, tuple(go(c) for c in n.children))
-        elif n.kind == XOR:
-            a, b = (go(c) for c in n.children)
-            out = ExprNode.or_(
-                ExprNode.and_(a, ExprNode.not_(b)),
-                ExprNode.and_(ExprNode.not_(a), b),
-            )
-        elif n.kind == MAJ3:
-            a, b, c = (go(ch) for ch in n.children)
-            out = ExprNode.or_(
-                ExprNode.and_(a, b), ExprNode.and_(a, c), ExprNode.and_(b, c)
-            )
-        elif n.kind == IMPL:
-            a, b = (go(c) for c in n.children)
-            out = ExprNode.or_(ExprNode.not_(a), b)
-        elif n.kind == EQUIV:
-            a, b = (go(c) for c in n.children)
-            out = ExprNode.or_(
-                ExprNode.and_(a, b),
-                ExprNode.and_(ExprNode.not_(a), ExprNode.not_(b)),
-            )
-        else:
-            raise ValueError(f"unknown node kind {n.kind}")
-        memo[key] = out
-        return out
-
-    return go(node)
-
-
-def to_nnf(node: ExprNode) -> ExprNode:
-    """Push negations to the leaves and fold constants; input must be And/Or/Not."""
-    memo: dict[tuple[int, bool], ExprNode] = {}
-
-    def go(n: ExprNode, negate: bool) -> ExprNode:
-        key = (id(n), negate)
-        if key in memo:
-            return memo[key]
-        if n.kind == CONST:
-            out = ExprNode.const(n.bool_value != negate)
-        elif n.kind == VAR:
-            out = ExprNode.not_(n) if negate else n
-        elif n.kind == NOT:
-            out = go(n.children[0], not negate)
-        elif n.kind in (AND, OR):
-            kind = n.kind
-            if negate:
-                kind = OR if kind == AND else AND
-            kids = []
-            short = None
-            for child in n.children:
-                sub = go(child, negate)
-                if sub.kind == CONST:
-                    if sub.bool_value == (kind == OR):
-                        short = sub  # dominating constant
-                        break
-                    continue  # neutral constant
-                kids.append(sub)
-            if short is not None:
-                out = short
-            elif not kids:
-                out = ExprNode.const(kind == AND)
-            elif len(kids) == 1:
-                out = kids[0]
-            else:
-                out = ExprNode(kind, tuple(kids))
-        else:
-            raise ValueError(f"to_nnf expects And/Or/Not input, got {n.kind}")
-        memo[key] = out
-        return out
-
-    return go(node, False)
-
-
 def lower_to_cnf(formula: ExprNode, view) -> list[list[int]]:
     """Emit an equisatisfiable CNF for ``formula`` into ``view``; returns the clauses.
 
-    Grows the view's variable count to cover the formula if needed. Fresh
-    definition variables are functionally determined by the originals.
+    Grows the view's variable count to cover the formula if needed, builds
+    the formula as a circuit and asserts its output literal. Fresh gate
+    variables are functionally determined by the originals.
     """
-    needed = formula.max_var()
-    if view.var_count < needed:
-        view.add_variables(needed - view.var_count)
+    from .circuits import CircuitBuilder, build_expression_circuit  # circuits imports this module
 
     emitted: list[list[int]] = []
 
-    def emit(lits: Iterable[int]) -> None:
-        lits = list(lits)
-        view.add_clause(lits)
-        emitted.append(lits)
+    class RecordingBuilder(CircuitBuilder):
+        def add_clause(self, literals) -> None:
+            super().add_clause(literals)
+            emitted.append(list(literals))
 
-    def define_and(var: int, lits: list[int]) -> None:
-        """var <-> AND(lits), splitting right sides longer than two literals."""
-        if len(lits) == 1:
-            emit([-var, lits[0]])
-            emit([var, -lits[0]])
-        elif len(lits) == 2:
-            a, b = lits
-            emit([-var, a])
-            emit([-var, b])
-            emit([var, -a, -b])
-        else:
-            rest = view.add_variable()
-            a = lits[0]
-            emit([-var, a])
-            emit([-var, rest])
-            emit([var, -a, -rest])
-            define_and(rest, lits[1:])
-
-    def define_or(var: int, lits: list[int]) -> None:
-        if len(lits) == 1:
-            emit([-var, lits[0]])
-            emit([var, -lits[0]])
-        elif len(lits) == 2:
-            a, b = lits
-            emit([var, -a])
-            emit([var, -b])
-            emit([-var, a, b])
-        else:
-            rest = view.add_variable()
-            a = lits[0]
-            emit([var, -a])
-            emit([var, -rest])
-            emit([-var, a, rest])
-            define_or(rest, lits[1:])
-
-    defs: dict[int, int] = {}
-
-    def literalize(n: ExprNode) -> int:
-        if n.kind == VAR:
-            return n.var_index
-        if n.kind == NOT:
-            return -n.children[0].var_index
-        key = id(n)
-        if key in defs:
-            return defs[key]
-        var = view.add_variable()
-        defs[key] = var
-        lits = [literalize(c) for c in n.children]
-        if n.kind == AND:
-            define_and(var, lits)
-        else:
-            define_or(var, lits)
-        return var
-
-    def flatten_or(n: ExprNode, acc: list[int]) -> None:
-        for child in n.children:
-            if child.kind == OR:
-                flatten_or(child, acc)
-            else:
-                acc.append(literalize(child))
-
-    def assert_true(n: ExprNode) -> None:
-        if n.kind == CONST:
-            if not n.bool_value:
-                fresh = view.add_variable()
-                emit([fresh])
-                emit([-fresh])
-            return
-        if n.kind in (VAR, NOT):
-            emit([literalize(n)])
-            return
-        if n.kind == AND:
-            for child in n.children:
-                assert_true(child)
-            return
-        lits: list[int] = []
-        flatten_or(n, lits)
-        emit(lits)
-
-    assert_true(to_nnf(rewrite_aux(formula)))
+    needed = formula.max_var()
+    if view.var_count < needed:
+        grow = getattr(view, "reserve_variables", None) or view.add_variables
+        grow(needed - view.var_count)
+    builder = RecordingBuilder(view)
+    builder.add_clause([build_expression_circuit(formula, builder)])
+    builder.finalize()
     return emitted

@@ -15,11 +15,12 @@ from .solving import (
     SolveCall,
     SolverBusy,
     SolverRegistry,
-    SolverStateError,
     SolverWorker,
-    WebPidMismatch,
     parallelize,
 )
+
+# Largest web-call body a node reads; a longer request is refused unread.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 
 class ServerNode:
@@ -44,16 +45,26 @@ class ServerNode:
                 if self.path != "/webcall":
                     self.send_error(404)
                     return
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length)
+                header = self.headers.get("Content-Length") or "0"
                 try:
-                    envelope = json.loads(body)
-                    if not isinstance(envelope, dict):
-                        raise ValueError("envelope must be a JSON object")
+                    length = int(header)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    self._reply({"error": f"MALFORMED_ENVELOPE: bad Content-Length {header!r}"})
+                    return
+                if length > MAX_REQUEST_BYTES:
+                    self._reply({"error": "REQUEST_TOO_LARGE"})
+                    return
+                try:
+                    envelope = json.loads(self.rfile.read(length))
                 except ValueError as exc:
                     result = {"error": f"MALFORMED_ENVELOPE: {exc}"}
                 else:
                     result = node.handle_web_call(envelope)
+                self._reply(result)
+
+            def _reply(self, result: dict) -> None:
                 data = json.dumps(result).encode("utf-8")
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
@@ -82,17 +93,61 @@ class ServerNode:
         self._httpd.server_close()
         self.memory.shutdown()
 
-    def handle_web_call(self, envelope: dict) -> dict:
-        """Route one envelope to the memory service, a solver, or the kernel."""
+    def handle_web_call(self, envelope) -> dict:
+        """Route one envelope to the memory service, a solver, or the kernel.
+
+        Every web call goes through here; failures land in the reply's "error".
+        """
+        if not isinstance(envelope, dict):
+            return {"error": "MALFORMED_ENVELOPE: envelope must be a JSON object"}
+        method = envelope.get("method") or ""
+        web_pid = envelope.get("webPid") or ""
+        object_ref = envelope.get("objectRef") or ""
+        argument = envelope.get("argument")
+        if argument is None:
+            argument = {}
+        if not isinstance(method, str):
+            return {"error": "MALFORMED_ENVELOPE: method must be a string"}
+        if not isinstance(argument, dict):
+            return {"error": "MALFORMED_ENVELOPE: argument must be a JSON object"}
         try:
-            method = envelope.get("method") or ""
-            web_pid = envelope.get("webPid") or ""
-            argument = envelope.get("argument") or {}
+            if method == "SatCnf.create":
+                obj = self.memory.create_memory(int(argument.get("initialVariableCount", 0)))
+                return {"objectRef": obj.object_id, "directUrl": obj.direct_url}
             if method.startswith("SatCnf."):
-                return self.memory.handle_web_call(envelope)
-            if method.startswith("SatSolver."):
-                return self._solver_call(method, envelope, web_pid, argument)
-            if method == "Kernel.parallelize":
+                obj = self.memory.get(object_ref)
+                if obj is None:
+                    return {"error": "NO_SUCH_OBJECT"}
+                if method == "SatCnf.addVariable":
+                    return {"index": self.memory.add_variable(obj)}
+                if method == "SatCnf.addClause":
+                    return {"added": self.memory.add_clause(obj, argument.get("clause") or [])}
+                if method == "SatCnf.clauses":
+                    return {"clauses": obj.view.clauses()}
+                if method == "SatCnf.fork":
+                    child = self.memory.fork_memory(obj, bool(argument.get("detach", False)))
+                    return {"forkId": child.object_id, "directUrl": child.direct_url}
+                if method == "SatCnf.delete":
+                    self.memory.delete_memory(obj.object_id)
+                    return {}
+            elif method.startswith("SatSolver."):
+                worker = self.registry.get(object_ref)
+                if worker is None:
+                    return {"error": "NO_SUCH_OBJECT"}
+                if method == "SatSolver.solve":
+                    outcome = worker.solve(
+                        argument.get("satMemoryUrl") or "",
+                        timeout=float(argument.get("timeout", 0.0)),
+                        diversification=DiversificationSettings.from_json(
+                            argument.get("diversification")
+                        ),
+                        web_pid=web_pid,
+                    )
+                    return outcome.as_json()
+                if method in ("SatSolver.pause", "SatSolver.resume", "SatSolver.cancel"):
+                    getattr(worker, method.removeprefix("SatSolver."))(web_pid=web_pid)
+                    return {}
+            elif method == "Kernel.parallelize":
                 calls = [
                     SolveCall(
                         memory=item.get("satMemoryUrl"),
@@ -111,39 +166,15 @@ class ServerNode:
                     web_pid=web_pid,
                 )
                 return {"results": [r.as_json() for r in results]}
-            if method == "Kernel.listSolvers":
+            elif method == "Kernel.listSolvers":
                 return {"solvers": [r.as_json() for r in self.registry.list_solvers()]}
-            if method == "Kernel.findAvailable":
-                try:
-                    worker = self.registry.find_available(float(argument.get("timeout", 0.0)))
-                except NoSolverAvailable:
-                    return {"error": "NONE_AVAILABLE"}
+            elif method == "Kernel.findAvailable":
+                worker = self.registry.find_available(float(argument.get("timeout", 0.0)))
                 return {"solverId": worker.record.solver_id}
             return {"error": "NO_SUCH_METHOD"}
+        except SolverBusy:
+            return {"error": "BUSY"}
+        except NoSolverAvailable:
+            return {"error": "NONE_AVAILABLE"}
         except Exception as exc:
             return {"error": str(exc)}
-
-    def _solver_call(self, method: str, envelope: dict, web_pid: str, argument: dict) -> dict:
-        worker = self.registry.get(envelope.get("objectRef") or "")
-        if worker is None:
-            return {"error": "NO_SUCH_OBJECT"}
-        if method == "SatSolver.solve":
-            try:
-                outcome = worker.solve(
-                    argument.get("satMemoryUrl") or "",
-                    timeout=float(argument.get("timeout", 0.0)),
-                    diversification=DiversificationSettings.from_json(
-                        argument.get("diversification")
-                    ),
-                    web_pid=web_pid,
-                )
-            except SolverBusy:
-                return {"error": "BUSY"}
-            return outcome.as_json()
-        if method in ("SatSolver.pause", "SatSolver.resume", "SatSolver.cancel"):
-            try:
-                getattr(worker, method.removeprefix("SatSolver."))(web_pid=web_pid)
-            except (SolverStateError, WebPidMismatch) as exc:
-                return {"error": str(exc)}
-            return {}
-        return {"error": "NO_SUCH_METHOD"}

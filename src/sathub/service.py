@@ -1,4 +1,4 @@
-"""Network-facing SAT memory: web-call dispatch plus the binary direct-access hub.
+"""Network-facing SAT memory: memory registry plus the binary direct-access hub.
 
 Each memory object (origin store or fork) gets its own TCP listener; its
 ``directUrl`` is the address of that socket. A new connection receives a
@@ -321,7 +321,7 @@ class MemoryObject:
 
 
 class MemoryService:
-    """Registry of live SAT memory instances and their web-call dispatch."""
+    """Registry of live SAT memory instances."""
 
     def __init__(self, host: str = "127.0.0.1", lock_timeout: float = 10.0) -> None:
         self.host = host
@@ -362,47 +362,25 @@ class MemoryService:
         for obj in objects:
             obj.close()
 
-    # -- web calls -----------------------------------------------------------
+    # -- web-call writes ----------------------------------------------------
 
-    def handle_web_call(self, envelope: dict) -> dict:
-        """Dispatch one SatCnf web call; application failures land in "error"."""
+    def add_variable(self, obj: MemoryObject) -> int:
+        """Add one variable under the variable lock and broadcast it to every peer."""
+        token = object()
+        obj.lock_mgr.acquire(token)
         try:
-            method = envelope.get("method", "")
-            argument = envelope.get("argument") or {}
-            if method == "SatCnf.create":
-                count = int(argument.get("initialVariableCount", 0))
-                obj = self.create_memory(count)
-                return {"objectRef": obj.object_id, "directUrl": obj.direct_url}
-            if not method.startswith("SatCnf."):
-                return {"error": "NO_SUCH_METHOD"}
-            obj = self.get(envelope.get("objectRef") or "")
-            if obj is None:
-                return {"error": "NO_SUCH_OBJECT"}
-            if method == "SatCnf.addVariable":
-                token = object()
-                obj.lock_mgr.acquire(token)
-                try:
-                    with obj.view.family_lock:
-                        index = obj.view.add_variable()
-                        obj.var_owner._broadcast_vars(1, exclude=None)
-                finally:
-                    obj.lock_mgr.release(token)
-                return {"index": index}
-            if method == "SatCnf.addClause":
-                clause = canonical_clause(argument.get("clause") or [])
-                with obj.view.family_lock:
-                    added = obj.view._add_canonical(clause)
-                    if added:
-                        obj._broadcast_clause(clause, exclude=None)
-                return {"added": added}
-            if method == "SatCnf.clauses":
-                return {"clauses": obj.view.clauses()}
-            if method == "SatCnf.fork":
-                child = self.fork_memory(obj, bool(argument.get("detach", False)))
-                return {"forkId": child.object_id, "directUrl": child.direct_url}
-            if method == "SatCnf.delete":
-                self.delete_memory(obj.object_id)
-                return {}
-            return {"error": "NO_SUCH_METHOD"}
-        except Exception as exc:
-            return {"error": str(exc)}
+            with obj.view.family_lock:
+                index = obj.view.add_variable()
+                obj.var_owner._broadcast_vars(1, exclude=None)
+        finally:
+            obj.lock_mgr.release(token)
+        return index
+
+    def add_clause(self, obj: MemoryObject, literals) -> bool:
+        """Add one clause and broadcast it to every peer that newly sees it."""
+        clause = canonical_clause(literals)
+        with obj.view.family_lock:
+            added = obj.view._add_canonical(clause)
+            if added:
+                obj._broadcast_clause(clause, exclude=None)
+        return added

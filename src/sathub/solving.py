@@ -225,7 +225,7 @@ class SolverWorker:
                 try:
                     mirror = connect(memory)
                 except OSError:
-                    return SolveOutcome(None, error="MEMORY_UNAVAILABLE")
+                    return SolveOutcome(dpll.UNKNOWN, error="MEMORY_UNAVAILABLE")
                 view = mirror
             else:
                 view = memory

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from sathub.cnf import CnfStore
+from sathub.client import connect
+from sathub.cnf import CnfStore, canonical_clause
 from sathub.dpll import DpllSolver
-from sathub.exprs import ExprNode, eval_expr, lower_to_cnf, rewrite_aux, to_nnf
+from sathub.exprs import ExprNode, eval_expr, lower_to_cnf
+from sathub.service import MemoryService
 
 from gens import random_expr
 from oracles import expr_mask, table_context
@@ -53,41 +55,21 @@ def test_eval_expr_all_kinds():
     assert eval_expr(ExprNode.const(True), []) is True
 
 
-def test_rewrite_aux_preserves_semantics():
-    rng = random.Random(13)
-    for _ in range(50):
-        expr, n = random_expr(rng, max_vars=6, size=15)
-        masks, full = table_context(n)
-        assert expr_mask(rewrite_aux(expr), masks, full) == expr_mask(expr, masks, full)
-
-
-def test_to_nnf_pushes_negations_and_preserves_semantics():
-    rng = random.Random(14)
-    for _ in range(50):
-        expr, n = random_expr(rng, max_vars=6, size=15)
-        nnf = to_nnf(rewrite_aux(expr))
-        masks, full = table_context(n)
-        assert expr_mask(nnf, masks, full) == expr_mask(expr, masks, full)
-        stack = [nnf]
-        while stack:
-            node = stack.pop()
-            if node.kind == "NOT":
-                assert node.children[0].kind == "VAR"
-            stack.extend(node.children)
-
-
 def test_de_morgan_unit_example():
-    # NOT(x1 OR x2) lowers to the two unit clauses
+    # NOT(x1 OR x2): the OR gate x3 is defined once and asserted negated
     store = CnfStore(2)
     clauses = lower_to_cnf(
         ExprNode.not_(ExprNode.or_(ExprNode.var(1), ExprNode.var(2))), store
     )
-    assert sorted(clauses) == [[-2], [-1]]
-    assert store.var_count == 2
+    assert store.var_count == 3
+    assert clauses == [[3, -1], [3, -2], [-3, 1, 2], [-3]]
+    assert solve_store(store).model == [False, False, False]
+    assert solve_store(store, assumptions=[1]).result == "UNSAT"
+    assert solve_store(store, assumptions=[2]).result == "UNSAT"
 
 
 def test_inner_conjunction_introduces_chain_variables():
-    # (x1 OR (x2 AND x3 AND x4)): x5 defines the conjunction via x6 for x3 AND x4
+    # (x1 OR (x2 AND x3 AND x4)): x5 defines the whole conjunction, x6 the disjunction
     store = CnfStore(4)
     formula = ExprNode.or_(
         ExprNode.var(1), ExprNode.and_(ExprNode.var(2), ExprNode.var(3), ExprNode.var(4))
@@ -96,24 +78,25 @@ def test_inner_conjunction_introduces_chain_variables():
     assert store.var_count == 6
     expected = [
         [-5, 2],
-        [-5, 6],
-        [5, -2, -6],
-        [-6, 3],
-        [-6, 4],
-        [6, -3, -4],
-        [1, 5],
+        [-5, 3],
+        [-5, 4],
+        [5, -2, -3, -4],
+        [6, -1],
+        [6, -5],
+        [-6, 1, 5],
+        [6],
     ]
     assert sorted(map(sorted, clauses)) == sorted(map(sorted, expected))
 
 
 def test_three_literal_equivalence_truth_table():
-    # x6 <-> x3 AND x4 in isolation: exactly the truth-table clauses
+    # x7 <-> x3 AND x4 in isolation: exactly the truth-table clauses
     store = CnfStore(6)
     formula = ExprNode.or_(
         ExprNode.var(1), ExprNode.and_(ExprNode.var(3), ExprNode.var(4))
     )
     clauses = lower_to_cnf(formula, store)
-    definition = [c for c in clauses if (7 in c or -7 in c) and c != [1, 7]]
+    definition = [c for c in clauses if abs(c[0]) == 7]
     assert definition == [[-7, 3], [-7, 4], [7, -3, -4]]
 
 
@@ -126,10 +109,10 @@ def test_lowering_grows_variable_count():
 
 def test_constant_formulas():
     store = CnfStore(0)
-    assert lower_to_cnf(ExprNode.const(True), store) == []
+    lower_to_cnf(ExprNode.const(True), store)
+    assert solve_store(store).result == "SAT"
     store = CnfStore(0)
-    clauses = lower_to_cnf(ExprNode.const(False), store)
-    assert len(clauses) == 2
+    lower_to_cnf(ExprNode.const(False), store)
     assert solve_store(store).result == "UNSAT"
 
 
@@ -173,3 +156,28 @@ def test_cnf_models_project_bijectively():
         assert cnf_models == formula_models
         checked += 1
     assert checked >= 50
+
+
+def test_lowering_into_a_live_mirror():
+    # the builder reserves gate variables 64 at a time; finalize() pins the leftovers
+    rng = random.Random(101)
+    service = MemoryService()
+    try:
+        for i in range(60):
+            expr, n = random_expr(rng, max_vars=10, size=20)
+            masks, full = table_context(n)
+            obj = service.create_memory(n if i % 2 else 0)
+            mirror = connect(obj.direct_url)
+            try:
+                clauses = lower_to_cnf(expr, mirror)
+            finally:
+                mirror.close()
+            assert obj.view.var_count == mirror.var_count >= n
+            assert set(obj.view.clause_tuples()) == {canonical_clause(c) for c in clauses}
+            solver = DpllSolver(obj.view.var_count)
+            for clause in obj.view.clause_tuples():
+                solver.add_clause(clause)
+            assert (solver.solve().result == "SAT") == (expr_mask(expr, masks, full) != 0)
+            service.delete_memory(obj.object_id)
+    finally:
+        service.shutdown()

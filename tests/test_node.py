@@ -1,10 +1,13 @@
+import json
+import socket
 import threading
 import time
+import urllib.request
 
 import pytest
 
 from sathub.client import connect
-from sathub.node import ServerNode
+from sathub.node import MAX_REQUEST_BYTES, ServerNode
 from sathub.rpc import TransportError, web_call
 
 from gens import gated_php
@@ -182,3 +185,106 @@ def test_transport_error_when_down():
     node.stop()
     with pytest.raises(TransportError):
         web_call(endpoint, "Kernel.listSolvers", timeout=2)
+
+
+def post_envelope(node, envelope):
+    request = urllib.request.Request(
+        node.endpoint + "/webcall",
+        data=json.dumps(envelope).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=10) as response:
+        return json.loads(response.read())
+
+
+def test_dispatcher_routes_every_web_call(node):
+    # the 13 methods of the README's "Web calls" list, in an order that keeps each call valid
+    created = call(node, "SatCnf.create", {"initialVariableCount": 2})
+    ref = created["objectRef"]
+    solver_id = call(node, "Kernel.listSolvers")["solvers"][0]["solverId"]
+    replies = {
+        "SatCnf.create": created,
+        "SatCnf.addVariable": call(node, "SatCnf.addVariable", object_ref=ref),
+        "SatCnf.addClause": call(node, "SatCnf.addClause", {"clause": [1, 2]}, object_ref=ref),
+        "SatCnf.clauses": call(node, "SatCnf.clauses", object_ref=ref),
+    }
+    fork = call(node, "SatCnf.fork", {"detach": True}, object_ref=ref)
+    replies["SatCnf.fork"] = fork
+    replies["SatCnf.delete"] = call(node, "SatCnf.delete", object_ref=fork["forkId"])
+    replies["SatSolver.solve"] = call(
+        node, "SatSolver.solve", {"satMemoryUrl": created["directUrl"]}, object_ref=solver_id
+    )
+    for method in ("SatSolver.pause", "SatSolver.resume", "SatSolver.cancel"):
+        replies[method] = call(node, method, object_ref=solver_id)
+    replies["Kernel.parallelize"] = call(
+        node, "Kernel.parallelize", {"calls": [{"satMemoryUrl": created["directUrl"]}]}
+    )
+    replies["Kernel.listSolvers"] = call(node, "Kernel.listSolvers")
+    replies["Kernel.findAvailable"] = call(node, "Kernel.findAvailable", {"timeout": 0})
+    assert len(replies) == 13
+    assert [m for m, r in replies.items() if r.get("error") == "NO_SUCH_METHOD"] == []
+    assert replies["SatCnf.addVariable"] == {"index": 3}
+    assert replies["SatCnf.delete"] == {}
+    assert replies["SatSolver.solve"]["result"] == "SAT"
+    assert replies["Kernel.parallelize"]["results"][0]["result"] == "SAT"
+    assert replies["Kernel.findAvailable"]["solverId"]
+
+
+def test_missing_object_ref_answers_no_such_object(node):
+    methods = [
+        "SatCnf.addVariable",
+        "SatCnf.addClause",
+        "SatCnf.clauses",
+        "SatCnf.fork",
+        "SatCnf.delete",
+        "SatSolver.solve",
+        "SatSolver.pause",
+        "SatSolver.resume",
+        "SatSolver.cancel",
+    ]
+    for method in methods:
+        assert call(node, method, {"clause": [1]}, object_ref="ghost") == {
+            "error": "NO_SUCH_OBJECT"
+        }, method
+        assert post_envelope(node, {"method": method}) == {"error": "NO_SUCH_OBJECT"}, method
+
+
+def test_malformed_envelope(node):
+    envelopes = [
+        {"method": 5},
+        {"method": ["Kernel.listSolvers"]},
+        {"method": "Kernel.findAvailable", "argument": [1, 2]},
+        {"method": "SatCnf.create", "argument": "initialVariableCount"},
+        {"method": "Kernel.listSolvers", "argument": []},
+        ["Kernel.listSolvers"],
+    ]
+    for envelope in envelopes:
+        reply = post_envelope(node, envelope)
+        assert list(reply) == ["error"], envelope
+        assert reply["error"].startswith("MALFORMED_ENVELOPE: "), envelope
+
+
+def raw_post(node, headers: bytes, body: bytes = b""):
+    """Send one hand-made request; returns the reply's JSON body, read until the node closes."""
+    host, port = node._httpd.server_address[:2]
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(b"POST /webcall HTTP/1.1\r\nHost: x\r\n" + headers + b"\r\n" + body)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, payload = data.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 200")
+    return json.loads(payload)
+
+
+def test_request_length_is_validated_and_bounded(node):
+    bad = raw_post(node, b"Content-Length: abc\r\n")
+    assert bad["error"].startswith("MALFORMED_ENVELOPE: ")
+    negative = raw_post(node, b"Content-Length: -1\r\n")
+    assert negative["error"].startswith("MALFORMED_ENVELOPE: ")
+    too_large = raw_post(node, b"Content-Length: %d\r\n" % (MAX_REQUEST_BYTES + 1), b"{}")
+    assert too_large == {"error": "REQUEST_TOO_LARGE"}
+    assert len(call(node, "Kernel.listSolvers")["solvers"]) == 3

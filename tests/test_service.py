@@ -1,12 +1,14 @@
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from sathub import wire
 from sathub.client import LockTimeout, MemoryMirror, MirrorProtocolError, connect, parse_direct_url
 from sathub.cnf import ClauseRangeError
+from sathub.node import ServerNode
 from sathub.service import MemoryService
 
 
@@ -18,8 +20,9 @@ def service():
 
 
 def call(svc, method, object_ref="", argument=None, web_pid="test"):
-    return svc.handle_web_call(
-        {"method": method, "webPid": web_pid, "objectRef": object_ref, "argument": argument or {}}
+    return ServerNode.handle_web_call(
+        SimpleNamespace(memory=svc, registry=None),
+        {"method": method, "webPid": web_pid, "objectRef": object_ref, "argument": argument or {}},
     )
 
 

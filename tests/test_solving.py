@@ -240,7 +240,7 @@ def test_web_pid_checks_apply_to_all_controls():
 def test_solve_on_unreachable_memory():
     worker = SolverWorker()
     outcome = worker.solve("tcp://127.0.0.1:1", web_pid="p")
-    assert outcome.result is None
+    assert outcome.result == "UNKNOWN"
     assert outcome.error == "MEMORY_UNAVAILABLE"
     assert worker.record.state == "IDLE"
 
