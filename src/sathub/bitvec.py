@@ -65,15 +65,8 @@ def shift_left(b: BitVec, k: int, ctx: CircuitBuilder, width: int | None = None)
 
 
 def negation(b: BitVec, ctx: CircuitBuilder) -> BitVec:
-    """Two's-complement negation: invert all bits, add one via half adders."""
-    inverted = [-lit for lit in b.lits]
-    out = []
-    carry = ctx.true_lit
-    for i, lit in enumerate(inverted):
-        out.append(ctx.xor(lit, carry))
-        if i < len(inverted) - 1:
-            carry = ctx.and_(lit, carry)
-    return BitVec(tuple(out))
+    """Two's-complement negation: ``conditional_negate`` with the constant-true sign."""
+    return conditional_negate(b, ctx.true_lit, ctx)
 
 
 def sum_with(a: BitVec, b: BitVec, ctx: CircuitBuilder) -> BitVec:

@@ -3,6 +3,9 @@
 Every gate is a fresh variable tied to its inputs by a full equivalence
 (truth-table clauses), so gate values are functionally determined by the
 circuit inputs. Structurally identical gates share one output literal.
+There is one AND gate; OR is its De Morgan dual over negated edges, as in
+an And-Inverter Graph, so OR(a, b) and AND(-a, -b) share one variable.
+One constant variable, pinned true, gives both constants.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from .exprs import AND, CONST, EQUIV, IMPL, MAJ3, NOT, OR, VAR, XOR, ExprNode
 
 class CircuitBuilder:
     """Emits Tseitin-style gates into a SAT memory view or mirror.
+
+    The gates are AND (``and_many``), XOR and MAJ3; every other connective
+    is one of them with negated inputs or output.
 
     Variable allocation goes through ``reserve_variables`` when the target
     offers it (remote mirrors) in chunks, to amortize lock round-trips;
@@ -32,8 +38,7 @@ class CircuitBuilder:
         self._pool_next = 0
         self._pool_end = -1
         self._cache: dict[tuple, int] = {}
-        self._true: Optional[int] = None
-        self._false: Optional[int] = None
+        self._true = 0  # the constant variable; 0, which is no literal, until first use
         self.vars_allocated = 0
         self.clauses_added = 0
 
@@ -64,72 +69,34 @@ class CircuitBuilder:
 
     # -- constants ---------------------------------------------------------
 
-    def _ensure_consts(self) -> None:
-        if self._true is None:
-            t = self.fresh_var()
-            f = self.fresh_var()
-            self.add_clause([t])
-            self.add_clause([-f])
-            self._true = t
-            self._false = f
-
     @property
     def true_lit(self) -> int:
-        self._ensure_consts()
+        """The one constant variable, pinned true by a unit clause on first use."""
+        if not self._true:
+            self._true = self.fresh_var()
+            self.add_clause([self._true])
         return self._true
 
     @property
     def false_lit(self) -> int:
-        self._ensure_consts()
-        return self._false
+        return -self.true_lit
 
     def const(self, value: bool) -> int:
-        return self.true_lit if value else self.false_lit
+        return self.true_lit if value else -self.true_lit
 
     def is_true(self, lit: int) -> bool:
-        return self._true is not None and (lit == self._true or lit == -self._false)
+        return lit == self._true
 
     def is_false(self, lit: int) -> bool:
-        return self._true is not None and (lit == self._false or lit == -self._true)
+        return lit == -self._true
 
     # -- gates -------------------------------------------------------------
 
-    def not_(self, a: int) -> int:
-        return -a
-
     def and_(self, a: int, b: int) -> int:
-        if self.is_false(a) or self.is_false(b) or a == -b:
-            return self.false_lit
-        if self.is_true(a) or a == b:
-            return b
-        if self.is_true(b):
-            return a
-        key = ("and",) + tuple(sorted((a, b)))
-        gate = self._cache.get(key)
-        if gate is None:
-            gate = self.fresh_var()
-            self.add_clause([-gate, a])
-            self.add_clause([-gate, b])
-            self.add_clause([gate, -a, -b])
-            self._cache[key] = gate
-        return gate
+        return self.and_many((a, b))
 
     def or_(self, a: int, b: int) -> int:
-        if self.is_true(a) or self.is_true(b) or a == -b:
-            return self.true_lit
-        if self.is_false(a) or a == b:
-            return b
-        if self.is_false(b):
-            return a
-        key = ("or",) + tuple(sorted((a, b)))
-        gate = self._cache.get(key)
-        if gate is None:
-            gate = self.fresh_var()
-            self.add_clause([gate, -a])
-            self.add_clause([gate, -b])
-            self.add_clause([-gate, a, b])
-            self._cache[key] = gate
-        return gate
+        return -self.and_many((-a, -b))
 
     def xor(self, a: int, b: int) -> int:
         if self.is_true(a):
@@ -198,24 +165,22 @@ class CircuitBuilder:
         return -gate if flip else gate
 
     def and_many(self, lits: Iterable[int]) -> int:
-        out = []
-        seen = set()
+        """The one AND/OR gate: constants fold, repeats drop, a complementary pair is false.
+
+        Each distinct input set gets one variable and its truth-table clauses.
+        """
+        t = self._true
+        out: list[int] = []
+        seen: set[int] = set()
         for lit in lits:
-            if self.is_false(lit):
+            if lit == -t or -lit in seen:
                 return self.false_lit
-            if self.is_true(lit) or lit in seen:
-                continue
-            if -lit in seen:
-                return self.false_lit
-            seen.add(lit)
-            out.append(lit)
-        if not out:
-            return self.true_lit
-        if len(out) == 1:
-            return out[0]
-        if len(out) == 2:
-            return self.and_(*out)
-        key = ("andN",) + tuple(sorted(out))
+            if lit != t and lit not in seen:
+                seen.add(lit)
+                out.append(lit)
+        if len(out) < 2:
+            return out[0] if out else self.true_lit
+        key = tuple(sorted(out))
         gate = self._cache.get(key)
         if gate is None:
             gate = self.fresh_var()
@@ -226,32 +191,8 @@ class CircuitBuilder:
         return gate
 
     def or_many(self, lits: Iterable[int]) -> int:
-        out = []
-        seen = set()
-        for lit in lits:
-            if self.is_true(lit):
-                return self.true_lit
-            if self.is_false(lit) or lit in seen:
-                continue
-            if -lit in seen:
-                return self.true_lit
-            seen.add(lit)
-            out.append(lit)
-        if not out:
-            return self.false_lit
-        if len(out) == 1:
-            return out[0]
-        if len(out) == 2:
-            return self.or_(*out)
-        key = ("orN",) + tuple(sorted(out))
-        gate = self._cache.get(key)
-        if gate is None:
-            gate = self.fresh_var()
-            for lit in out:
-                self.add_clause([gate, -lit])
-            self.add_clause([-gate] + list(out))
-            self._cache[key] = gate
-        return gate
+        """OR as the De Morgan dual of AND: -and_many(-lit for each lit)."""
+        return -self.and_many([-lit for lit in lits])
 
 
 def build_expression_circuit(root: ExprNode, builder: CircuitBuilder) -> int:

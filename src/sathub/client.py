@@ -21,6 +21,10 @@ from .cnf import ClauseRangeError, CnfStore, canonical_clause
 from .service import FrameWriter
 
 
+# Seconds a mirror waits for a reply from the hub, and for ``close`` to finish.
+REQUEST_TIMEOUT = 30.0
+
+
 class MirrorProtocolError(ConnectionError):
     """The server sent something the mirror cannot reconcile."""
 
@@ -58,9 +62,8 @@ def _snapshot_in_range(var_count: int, clauses: list[list[int]]) -> bool:
 class MemoryMirror:
     """Local replica of a remote SAT memory plus its direct-protocol channel."""
 
-    def __init__(self, sock: socket.socket, direct_url: str, request_timeout: float = 30.0) -> None:
+    def __init__(self, sock: socket.socket, direct_url: str) -> None:
         self.direct_url = direct_url
-        self.request_timeout = request_timeout
         self.alive = True
         self.pending_lock = False
         self._sock = sock
@@ -138,7 +141,7 @@ class MemoryMirror:
     def _response(self, expected: int):
         """Await the next response; raise the error it carries unless it is ``expected``."""
         try:
-            item = self._responses.get(timeout=self.request_timeout)
+            item = self._responses.get(timeout=REQUEST_TIMEOUT)
         except queue.Empty:
             raise TimeoutError("no response from memory service") from None
         if item is None:
@@ -224,12 +227,12 @@ class MemoryMirror:
 
         The mirror half-closes its socket after the last frame; the hub
         closes its side only once it has applied every frame before that.
-        Waits at most ``request_timeout``, then closes regardless.
+        Waits at most ``REQUEST_TIMEOUT``, then closes regardless.
         """
         self.alive = False
-        deadline = time.monotonic() + self.request_timeout
+        deadline = time.monotonic() + REQUEST_TIMEOUT
         self._writer.close()
-        self._writer.join(self.request_timeout)
+        self._writer.join(REQUEST_TIMEOUT)
         self._reader.join(max(0.0, deadline - time.monotonic()))
         try:
             self._sock.shutdown(socket.SHUT_RDWR)

@@ -104,10 +104,6 @@ class _CnfView:
                     f"literal {lit} out of range (var count {bound})"
                 )
 
-    def contains_clause(self, clause: tuple[int, ...]) -> bool:
-        with self._family.lock:
-            return self._visible(clause)
-
     def _visible(self, clause: tuple[int, ...]) -> bool:
         for seg, limit in self._chain:
             pos = seg.index.get(clause)

@@ -22,6 +22,23 @@ from .solving import (
 # Largest web-call body a node reads; a longer request is refused unread.
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
+# Seconds a web-call connection may stall on one socket read or write
+# before the node drops it.
+REQUEST_TIMEOUT = 10.0
+
+
+class MalformedArgument(ValueError):
+    """A web-call argument of the wrong type or shape."""
+
+
+def _number(argument: dict, key: str, convert, default):
+    """``convert(argument[key])``; MalformedArgument if that fails."""
+    value = argument.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise MalformedArgument(f"{key} must be a number, got {value!r}") from None
+
 
 class ServerNode:
     """Long-running service: SAT memories, solver workers, one /webcall endpoint."""
@@ -41,6 +58,8 @@ class ServerNode:
         node = self
 
         class Handler(BaseHTTPRequestHandler):
+            timeout = REQUEST_TIMEOUT
+
             def do_POST(self) -> None:  # noqa: N802 (http.server API)
                 if self.path != "/webcall":
                     self.send_error(404)
@@ -57,7 +76,13 @@ class ServerNode:
                     self._reply({"error": "REQUEST_TOO_LARGE"})
                     return
                 try:
-                    envelope = json.loads(self.rfile.read(length))
+                    body = self.rfile.read(length)
+                except OSError:
+                    return
+                if len(body) < length:
+                    return  # the client hung up mid-body: nobody to answer
+                try:
+                    envelope = json.loads(body)
                 except ValueError as exc:
                     result = {"error": f"MALFORMED_ENVELOPE: {exc}"}
                 else:
@@ -66,11 +91,14 @@ class ServerNode:
 
             def _reply(self, result: dict) -> None:
                 data = json.dumps(result).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                try:
+                    self.send_response(200)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(data)))
+                    self.end_headers()
+                    self.wfile.write(data)
+                except OSError:
+                    pass  # the client is gone or stalled; the connection closes
 
             def log_message(self, fmt, *args) -> None:
                 pass
@@ -112,16 +140,16 @@ class ServerNode:
             return {"error": "MALFORMED_ENVELOPE: argument must be a JSON object"}
         try:
             if method == "SatCnf.create":
-                obj = self.memory.create_memory(int(argument.get("initialVariableCount", 0)))
+                obj = self.memory.create_memory(_number(argument, "initialVariableCount", int, 0))
                 return {"objectRef": obj.object_id, "directUrl": obj.direct_url}
             if method.startswith("SatCnf."):
                 obj = self.memory.get(object_ref)
                 if obj is None:
                     return {"error": "NO_SUCH_OBJECT"}
                 if method == "SatCnf.addVariable":
-                    return {"index": self.memory.add_variable(obj)}
+                    return {"index": obj.add_variables(1)}
                 if method == "SatCnf.addClause":
-                    return {"added": self.memory.add_clause(obj, argument.get("clause") or [])}
+                    return {"added": obj.add_clause(argument.get("clause") or [])}
                 if method == "SatCnf.clauses":
                     return {"clauses": obj.view.clauses()}
                 if method == "SatCnf.fork":
@@ -137,7 +165,7 @@ class ServerNode:
                 if method == "SatSolver.solve":
                     outcome = worker.solve(
                         argument.get("satMemoryUrl") or "",
-                        timeout=float(argument.get("timeout", 0.0)),
+                        timeout=_number(argument, "timeout", float, 0.0),
                         diversification=DiversificationSettings.from_json(
                             argument.get("diversification")
                         ),
@@ -148,16 +176,19 @@ class ServerNode:
                     getattr(worker, method.removeprefix("SatSolver."))(web_pid=web_pid)
                     return {}
             elif method == "Kernel.parallelize":
+                items = argument.get("calls") or []
+                if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+                    raise MalformedArgument("calls must be a list of objects")
                 calls = [
                     SolveCall(
                         memory=item.get("satMemoryUrl"),
                         solver_id=item.get("solverId"),
-                        timeout=float(item.get("timeout", 0.0)),
+                        timeout=_number(item, "timeout", float, 0.0),
                         diversification=DiversificationSettings.from_json(
                             item.get("diversification")
                         ),
                     )
-                    for item in (argument.get("calls") or [])
+                    for item in items
                 ]
                 results = parallelize(
                     self.registry,
@@ -169,12 +200,14 @@ class ServerNode:
             elif method == "Kernel.listSolvers":
                 return {"solvers": [r.as_json() for r in self.registry.list_solvers()]}
             elif method == "Kernel.findAvailable":
-                worker = self.registry.find_available(float(argument.get("timeout", 0.0)))
+                worker = self.registry.find_available(_number(argument, "timeout", float, 0.0))
                 return {"solverId": worker.record.solver_id}
             return {"error": "NO_SUCH_METHOD"}
         except SolverBusy:
             return {"error": "BUSY"}
         except NoSolverAvailable:
             return {"error": "NONE_AVAILABLE"}
+        except MalformedArgument as exc:
+            return {"error": f"MALFORMED_ENVELOPE: {exc}"}
         except Exception as exc:
             return {"error": str(exc)}

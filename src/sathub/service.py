@@ -95,10 +95,6 @@ class LockManager:
         self._tickets: deque = deque()
         self._timer: Optional[threading.Timer] = None
 
-    def held_by(self, token) -> bool:
-        with self._cv:
-            return self._holder is token
-
     def acquire(self, token) -> bool:
         """Block FIFO until the lock is free; False if token already holds it."""
         with self._cv:
@@ -183,13 +179,15 @@ class MemoryObject:
                 target=self._serve_connection, args=(FrameWriter(sock),), daemon=True
             ).start()
 
+    def _snapshot_frame(self) -> bytes:
+        """The view's whole state as one SNAPSHOT frame; caller holds the family lock."""
+        return wire.encode_snapshot(
+            self.view.var_count, [list(c) for c in self.view.iter_clauses()]
+        )
+
     def _serve_connection(self, conn: FrameWriter) -> None:
         with self.view.family_lock:
-            conn.send(
-                wire.encode_snapshot(
-                    self.view.var_count, [list(c) for c in self.view.iter_clauses()]
-                )
-            )
+            conn.send(self._snapshot_frame())
             self.peers.append(conn)
         stream = conn.sock.makefile("rb")
         try:
@@ -215,18 +213,11 @@ class MemoryObject:
         """Handle one frame; False closes the connection."""
         if opcode == wire.ADD_CLAUSE:
             try:
-                clause = canonical_clause(payload)
+                self.add_clause(payload, origin=conn)
+            except ClauseRangeError as exc:
+                conn.send(wire.encode_error(wire.ERR_OUT_OF_RANGE, str(exc)))
             except ValueError as exc:
                 conn.send(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
-                return True
-            with self.view.family_lock:
-                try:
-                    added = self.view._add_canonical(clause)
-                except ClauseRangeError as exc:
-                    conn.send(wire.encode_error(wire.ERR_OUT_OF_RANGE, str(exc)))
-                    return True
-                if added:
-                    self._broadcast_clause(clause, exclude=conn)
             return True
 
         if opcode in (wire.ADD_VARIABLE, wire.ADD_VARS):
@@ -234,20 +225,8 @@ class MemoryObject:
             if n < 1:
                 conn.send(wire.encode_error(wire.ERR_OUT_OF_RANGE, f"bad variable count {n}"))
                 return True
-            held = self.lock_mgr.held_by(conn)
-            if not held:
-                self.lock_mgr.acquire(conn)
-            try:
-                with self.view.family_lock:
-                    first = self.view.add_variables(n)
-                    if opcode == wire.ADD_VARIABLE:
-                        conn.send(wire.encode_var_index(first))
-                    else:
-                        conn.send(wire.encode_first_index(first))
-                    self.var_owner._broadcast_vars(n, exclude=conn)
-            finally:
-                if not held:
-                    self.lock_mgr.release(conn)
+            reply = wire.encode_var_index if opcode == wire.ADD_VARIABLE else wire.encode_first_index
+            self.add_variables(n, origin=conn, reply=reply)
             return True
 
         if opcode == wire.LOCK_VARS:
@@ -270,15 +249,45 @@ class MemoryObject:
 
         if opcode == wire.SNAPSHOT_REQUEST:
             with self.view.family_lock:
-                conn.send(
-                    wire.encode_snapshot(
-                        self.view.var_count, [list(c) for c in self.view.iter_clauses()]
-                    )
-                )
+                conn.send(self._snapshot_frame())
             return True
 
         conn.send(wire.encode_error(wire.ERR_MALFORMED, f"unexpected opcode {opcode}"))
         return False
+
+    # -- writes: direct frames and web calls -------------------------------------
+
+    def add_clause(self, literals, origin: Optional[FrameWriter] = None) -> bool:
+        """Add one clause and broadcast it to every peer that newly sees it but ``origin``.
+
+        Raises ``ClauseRangeError`` out of range, ``ValueError`` if malformed.
+        """
+        clause = canonical_clause(literals)
+        with self.view.family_lock:
+            added = self.view._add_canonical(clause)
+            if added:
+                self._broadcast_clause(clause, exclude=origin)
+        return added
+
+    def add_variables(self, n: int, origin: Optional[FrameWriter] = None, reply=None) -> int:
+        """Add ``n`` variables under the variable lock and broadcast them; returns the first.
+
+        The lock is taken for this call unless ``origin`` already holds it.
+        The frame ``reply(first)`` is queued to ``origin`` in the same
+        family-lock section as the broadcast, so it keeps its global order.
+        """
+        token = origin or object()
+        acquired = self.lock_mgr.acquire(token)  # False: origin already holds it
+        try:
+            with self.view.family_lock:
+                first = self.view.add_variables(n)
+                if reply is not None:
+                    origin.send(reply(first))
+                self.var_owner._broadcast_vars(n, exclude=origin)
+        finally:
+            if acquired:
+                self.lock_mgr.release(token)
+        return first
 
     def _broadcast_clause(
         self, clause: tuple, exclude: Optional[FrameWriter], data: Optional[bytes] = None
@@ -361,26 +370,3 @@ class MemoryService:
             self._objects.clear()
         for obj in objects:
             obj.close()
-
-    # -- web-call writes ----------------------------------------------------
-
-    def add_variable(self, obj: MemoryObject) -> int:
-        """Add one variable under the variable lock and broadcast it to every peer."""
-        token = object()
-        obj.lock_mgr.acquire(token)
-        try:
-            with obj.view.family_lock:
-                index = obj.view.add_variable()
-                obj.var_owner._broadcast_vars(1, exclude=None)
-        finally:
-            obj.lock_mgr.release(token)
-        return index
-
-    def add_clause(self, obj: MemoryObject, literals) -> bool:
-        """Add one clause and broadcast it to every peer that newly sees it."""
-        clause = canonical_clause(literals)
-        with obj.view.family_lock:
-            added = obj.view._add_canonical(clause)
-            if added:
-                obj._broadcast_clause(clause, exclude=None)
-        return added

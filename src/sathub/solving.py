@@ -63,12 +63,6 @@ class DiversificationSettings:
                 phases[int(match.group(1))] = bool(value)
         return cls(rank=int(obj.get("rank", 0)), size=int(obj.get("size", 1)), phases=phases)
 
-    def to_json(self) -> dict:
-        out: dict = {"rank": self.rank, "size": self.size}
-        if self.phases is not None:
-            out["phases"] = {f"x{var}": value for var, value in self.phases.items()}
-        return out
-
 
 @dataclass
 class SolveOutcome:
@@ -87,15 +81,6 @@ class SolveOutcome:
         if self.error is not None:
             out["error"] = self.error
         return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SolveOutcome":
-        model = obj.get("model")
-        return cls(
-            result=obj.get("result"),
-            model=None if model is None else [bool(b) for b in model],
-            error=obj.get("error"),
-        )
 
 
 @dataclass
@@ -164,16 +149,12 @@ class SolverWorker:
     def __init__(
         self,
         registry: Optional[SolverRegistry] = None,
-        solver_id: Optional[str] = None,
-        solver_type: str = "ReferenceDpll",
         endpoint: str = "",
         export: bool = False,
         export_max_len: int = 2,
     ) -> None:
         self.record = SolverRecord(
-            solver_id=solver_id or uuid.uuid4().hex,
-            solver_type=solver_type,
-            endpoint=endpoint,
+            solver_id=uuid.uuid4().hex, solver_type="ReferenceDpll", endpoint=endpoint
         )
         self.registry = registry
         self.export = export

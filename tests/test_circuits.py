@@ -132,3 +132,20 @@ def test_reserved_const_variables():
     assert t != f
     assert [t] in store.clauses()
     assert [-f] in store.clauses()
+
+
+def test_or_is_the_de_morgan_dual_of_and():
+    store, ctx = fresh(2)
+    out = ctx.or_(1, 2)
+    before = len(store.clauses())
+    assert out == -ctx.and_(-1, -2)
+    assert len(store.clauses()) == before
+    assert ctx.or_many([1, 2]) == out
+
+
+def test_one_constant_variable():
+    store, ctx = fresh(1)
+    assert ctx.false_lit == -ctx.true_lit
+    assert ctx.const(False) == -ctx.const(True)
+    assert store.var_count == 2
+    assert store.clauses() == [[ctx.true_lit]]

@@ -1,6 +1,5 @@
 import random
 import threading
-import time
 
 from sathub.client import connect
 from sathub.cnf import CnfStore
@@ -90,19 +89,25 @@ def test_determinism():
 
 
 def test_cancel_returns_unknown():
-    # PHP 11/10 takes seconds to refute, so the cancel lands mid-search
-    clauses, n = php_clauses(11, 10)
+    # the decision hook holds the search until the cancel is in, so it lands mid-search
+    clauses, n = php_clauses(4, 3)
     store = make_store(clauses, n)
     control = SolveControl()
+    held, release = threading.Event(), threading.Event()
     result = {}
 
+    def hook(decision):
+        held.set()
+        release.wait()
+
     def target():
-        result["outcome"] = run(store, control=control)
+        result["outcome"] = run(store, control=control, on_decision=hook)
 
     t = threading.Thread(target=target)
     t.start()
-    time.sleep(0.05)
+    assert held.wait(timeout=10)
     control.cancel()
+    release.set()
     t.join(timeout=10)
     assert not t.is_alive()
     assert result["outcome"].result == "UNKNOWN"

@@ -56,20 +56,21 @@ def test_eval_expr_all_kinds():
 
 
 def test_de_morgan_unit_example():
-    # NOT(x1 OR x2): the OR gate x3 is defined once and asserted negated
+    # NOT(x1 OR x2) is AND(-x1, -x2): its gate x3 is defined once and asserted
     store = CnfStore(2)
     clauses = lower_to_cnf(
         ExprNode.not_(ExprNode.or_(ExprNode.var(1), ExprNode.var(2))), store
     )
     assert store.var_count == 3
-    assert clauses == [[3, -1], [3, -2], [-3, 1, 2], [-3]]
-    assert solve_store(store).model == [False, False, False]
+    assert clauses == [[-3, -1], [-3, -2], [3, 1, 2], [3]]
+    assert solve_store(store).model == [False, False, True]
     assert solve_store(store, assumptions=[1]).result == "UNSAT"
     assert solve_store(store, assumptions=[2]).result == "UNSAT"
 
 
 def test_inner_conjunction_introduces_chain_variables():
-    # (x1 OR (x2 AND x3 AND x4)): x5 defines the whole conjunction, x6 the disjunction
+    # (x1 OR (x2 AND x3 AND x4)): x5 defines the whole conjunction, and the
+    # disjunction is -x6 with x6 = AND(-x1, -x5), its De Morgan dual
     store = CnfStore(4)
     formula = ExprNode.or_(
         ExprNode.var(1), ExprNode.and_(ExprNode.var(2), ExprNode.var(3), ExprNode.var(4))
@@ -81,10 +82,10 @@ def test_inner_conjunction_introduces_chain_variables():
         [-5, 3],
         [-5, 4],
         [5, -2, -3, -4],
-        [6, -1],
-        [6, -5],
-        [-6, 1, 5],
-        [6],
+        [-6, -1],
+        [-6, -5],
+        [6, 1, 5],
+        [-6],
     ]
     assert sorted(map(sorted, clauses)) == sorted(map(sorted, expected))
 

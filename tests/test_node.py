@@ -6,6 +6,7 @@ import urllib.request
 
 import pytest
 
+from sathub import node as node_module
 from sathub.client import connect
 from sathub.node import MAX_REQUEST_BYTES, ServerNode
 from sathub.rpc import TransportError, web_call
@@ -288,3 +289,54 @@ def test_request_length_is_validated_and_bounded(node):
     too_large = raw_post(node, b"Content-Length: %d\r\n" % (MAX_REQUEST_BYTES + 1), b"{}")
     assert too_large == {"error": "REQUEST_TOO_LARGE"}
     assert len(call(node, "Kernel.listSolvers")["solvers"]) == 3
+
+
+def test_stalled_request_is_dropped_within_the_timeout(monkeypatch, capfd):
+    monkeypatch.setattr(node_module, "REQUEST_TIMEOUT", 0.3)
+    node = ServerNode(workers=1).start()
+    try:
+        baseline = threading.active_count()
+        host, port = node._httpd.server_address[:2]
+        stalled = []
+        for body in (b"", b"", b"", b"{}"):
+            sock = socket.create_connection((host, port), timeout=5)
+            sock.sendall(b"POST /webcall HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n" + body)
+            stalled.append(sock)
+        # a body cut short by the client's hang-up is dropped, not answered
+        hung_up = socket.create_connection((host, port), timeout=5)
+        hung_up.sendall(b"POST /webcall HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n{}")
+        hung_up.shutdown(socket.SHUT_WR)
+        assert hung_up.recv(65536) == b""
+        hung_up.close()
+        start = time.monotonic()
+        for sock in stalled:
+            assert sock.recv(65536) == b""  # closed without a reply
+            sock.close()
+        assert time.monotonic() - start < 3.0
+        deadline = time.monotonic() + 5
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == baseline
+        assert len(call(node, "Kernel.listSolvers")["solvers"]) == 1
+    finally:
+        node.stop()
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "method, argument",
+    [
+        ("Kernel.parallelize", {"calls": [5]}),
+        ("Kernel.parallelize", {"calls": 5}),
+        ("Kernel.parallelize", {"calls": [{"timeout": "x"}]}),
+        ("Kernel.findAvailable", {"timeout": "soon"}),
+        ("SatSolver.solve", {"timeout": "x"}),
+        ("SatCnf.create", {"initialVariableCount": "x"}),
+        ("SatCnf.create", {"initialVariableCount": None}),
+    ],
+)
+def test_bad_argument_answers_malformed_envelope(node, method, argument):
+    solver_id = call(node, "Kernel.listSolvers")["solvers"][0]["solverId"]
+    reply = call(node, method, argument, object_ref=solver_id)
+    assert list(reply) == ["error"]
+    assert reply["error"].startswith("MALFORMED_ENVELOPE: "), reply

@@ -340,6 +340,29 @@ def test_lock_blocks_raw_add_variable(let_go):
         svc.shutdown()
 
 
+def test_web_call_add_variable_waits_for_the_lock(service):
+    # the web call takes the same variable lock as direct frames, then reaches every peer
+    obj = service.create_memory(2)
+    holder = connect(obj.direct_url)
+    other = connect(obj.direct_url)
+    try:
+        holder._request(wire.encode_lock_vars(), wire.LOCK_GRANTED)
+        result = {}
+        t = threading.Thread(
+            target=lambda: result.update(call(service, "SatCnf.addVariable", obj.object_id)),
+            daemon=True,
+        )
+        t.start()
+        time.sleep(0.15)
+        assert result == {}  # queued behind the mirror's lock
+        holder._send(wire.encode_unlock_vars())
+        t.join(timeout=5)
+        assert result == {"index": 3}
+        assert wait_until(lambda: holder.var_count == 3 and other.var_count == 3)
+    finally:
+        holder.close(); other.close()
+
+
 def test_malformed_frame_closes_connection(service):
     obj = service.create_memory(0)
     host, port = parse_direct_url(obj.direct_url)
