@@ -23,7 +23,7 @@ class CircuitBuilder:
     is one of them with negated inputs or output.
 
     Variable allocation goes through ``reserve_variables`` when the target
-    offers it (remote mirrors) in chunks, to amortize lock round-trips;
+    offers it (remote mirrors) in chunks, to amortize round trips;
     plain views allocate one variable at a time. Call ``finalize`` when a
     build is complete so leftover reserved variables get pinned false.
     """

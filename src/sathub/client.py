@@ -2,10 +2,12 @@
 
 ``connect`` opens the direct socket named by a memory's ``directUrl``,
 applies the initial snapshot, and then mirrors every synchronization
-message. Locally originated additions are applied to the replica once at
-send time; the hub never echoes them back. Clause sends are
-fire-and-forget; variable operations await their indexed responses.
-Outbound frames are queued and sent, coalesced, by one writer thread.
+message. Locally added clauses are applied to the replica once at send
+time; the hub never echoes them back. Clause sends are fire-and-forget.
+A variable reservation is one frame: the reader thread adds the block to
+the replica where it reads the index reply in the hub's ordered stream,
+then hands the reply to the waiting caller. Outbound frames are queued and
+sent, coalesced, by one writer thread.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import queue
 import socket
 import threading
 import time
+from collections import deque
 from itertools import chain
 
 from . import wire
@@ -30,7 +33,7 @@ class MirrorProtocolError(ConnectionError):
 
 
 class LockTimeout(Exception):
-    """The variable lock was denied or force-released mid-sequence."""
+    """The hub denied or force-released an explicit variable lock (``ERR_LOCKED``)."""
 
 
 def parse_direct_url(url: str) -> tuple[str, int]:
@@ -65,11 +68,11 @@ class MemoryMirror:
     def __init__(self, sock: socket.socket, direct_url: str) -> None:
         self.direct_url = direct_url
         self.alive = True
-        self.pending_lock = False
         self._sock = sock
         self._stream = sock.makefile("rb")
         self._request_lock = threading.Lock()
         self._responses: queue.Queue = queue.Queue()
+        self._reserving: deque = deque()  # sizes of reservations awaiting their index
 
         opcode, payload = wire.read_message(self._stream)
         if opcode != wire.SNAPSHOT:
@@ -120,6 +123,8 @@ class MemoryMirror:
                 elif opcode == wire.ADD_VARS:
                     self.store.add_variables(payload)
                 else:
+                    if opcode in (wire.FIRST_INDEX, wire.VAR_INDEX):
+                        self._apply_reservation(payload)  # before the caller sees it
                     self._responses.put((opcode, payload))
         except (wire.ConnectionClosed, wire.MalformedFrame, OSError, ValueError):
             pass
@@ -127,14 +132,31 @@ class MemoryMirror:
             self.alive = False
             self._responses.put(None)
 
+    def _apply_reservation(self, first: int) -> None:
+        """Add the oldest reservation's block at its place in the hub's stream.
+
+        Raises ``MirrorProtocolError`` (which ends the reader) if no
+        reservation is in flight or ``first`` does not extend the replica.
+        """
+        if not self._reserving:
+            raise MirrorProtocolError(f"index {first} answers no reservation")
+        if first != self.store.var_count + 1:
+            raise MirrorProtocolError(
+                f"index {first} does not follow replica var count {self.store.var_count}"
+            )
+        self.store.add_variables(self._reserving.popleft())
+
     def _send(self, data: bytes) -> None:
         """Queue frames to go out after every frame queued before them."""
         if not (self.alive and self._writer.send(data)):
             self.alive = False
             raise ConnectionError("mirror connection lost")
 
-    def _request(self, data: bytes, expected: int):
+    def _request(self, data: bytes, expected: int, reserving: int = 0):
+        """Send ``data`` and await its reply, which adds ``reserving`` variables if nonzero."""
         with self._request_lock:
+            if reserving:
+                self._reserving.append(reserving)
             self._send(data)
             return self._response(expected)
 
@@ -169,58 +191,18 @@ class MemoryMirror:
         return added
 
     def add_variable(self) -> int:
-        """One new variable, reserved like ``reserve_variables(1)``.
-
-        ``ADD_VARIABLE`` would release the hub's lock with its reply, so
-        another peer's reservation could reach the replica first.
-        """
-        return self.reserve_variables(1)
+        """Add one variable (``ADD_VARIABLE``); returns its index once the replica holds it."""
+        return self._request(wire.encode_add_variable(), wire.VAR_INDEX, reserving=1)
 
     def reserve_variables(self, n: int) -> int:
-        """Lock, add ``n`` variables, unlock; returns the first new index.
-
-        LOCK_VARS and ADD_VARS leave in one write and both replies are
-        awaited together. UNLOCK_VARS is sent only once the replica holds
-        the new variables, so no other peer's reservation can reach the
-        replica ahead of them.
-        """
+        """Add ``n`` variables (``ADD_VARS``); returns the first once the replica holds them."""
         if n < 1:
             raise ValueError(f"variable count must be >= 1, got {n}")
-        if self.pending_lock:
-            raise LockTimeout("a lock sequence is already pending on this mirror")
-        self.pending_lock = True
-        try:
-            with self._request_lock:
-                self._send(wire.encode_lock_vars() + wire.encode_add_vars(n))
-                try:
-                    self._response(wire.LOCK_GRANTED)
-                except LockTimeout:
-                    # denied because this connection already holds the lock:
-                    # the hub still applies ADD_VARS, so the replica follows it
-                    self._sync_var_count(self._response(wire.FIRST_INDEX), n)
-                    raise
-                try:
-                    first = self._response(wire.FIRST_INDEX)
-                    self._sync_var_count(first, n)
-                finally:
-                    # also after a failed sync: the hub must not keep the lock
-                    self._writer.send(wire.encode_unlock_vars())
-                return first
-        finally:
-            self.pending_lock = False
+        return self._request(wire.encode_add_vars(n), wire.FIRST_INDEX, reserving=n)
 
     def request_snapshot(self) -> tuple[int, list[list[int]]]:
         """Fetch a fresh full snapshot (replica is already converged; returns raw data)."""
         return self._request(wire.encode_snapshot_request(), wire.SNAPSHOT)
-
-    def _sync_var_count(self, first: int, n: int) -> None:
-        with self.store.family_lock:
-            if first != self.store.var_count + 1:
-                self.alive = False
-                raise MirrorProtocolError(
-                    f"index {first} does not follow replica var count {self.store.var_count}"
-                )
-            self.store.add_variables(n)
 
     def close(self) -> None:
         """Send every queued frame, then wait until the hub has applied them all.

@@ -354,9 +354,7 @@ class DpllSolver:
                         self._assign(learnt[0], None)
                     continue
 
-                # decision boundary: control signals, live-view fold-in, hooks
-                if _halted(control):
-                    return SolveOutcome(UNKNOWN)
+                # decision boundary: live-view fold-in, hook, control signals
                 if poll_clauses is not None:
                     fresh = poll_clauses()
                     if fresh:
@@ -382,8 +380,8 @@ class DpllSolver:
                 decisions += 1
                 if on_decision is not None:
                     on_decision(decisions)
-                    if _halted(control):
-                        return SolveOutcome(UNKNOWN)
+                if _halted(control):
+                    return SolveOutcome(UNKNOWN)
                 self._open_level()
                 self._assign((var << 1) | self.phase[var], None)
         finally:

@@ -40,6 +40,14 @@ def _number(argument: dict, key: str, convert, default):
         raise MalformedArgument(f"{key} must be a number, got {value!r}") from None
 
 
+def _diversification(argument: dict) -> DiversificationSettings:
+    """The settings under ``argument["diversification"]``; MalformedArgument if invalid."""
+    try:
+        return DiversificationSettings.from_json(argument.get("diversification"))
+    except ValueError as exc:
+        raise MalformedArgument(f"diversification: {exc}") from None
+
+
 class ServerNode:
     """Long-running service: SAT memories, solver workers, one /webcall endpoint."""
 
@@ -166,9 +174,7 @@ class ServerNode:
                     outcome = worker.solve(
                         argument.get("satMemoryUrl") or "",
                         timeout=_number(argument, "timeout", float, 0.0),
-                        diversification=DiversificationSettings.from_json(
-                            argument.get("diversification")
-                        ),
+                        diversification=_diversification(argument),
                         web_pid=web_pid,
                     )
                     return outcome.as_json()
@@ -184,9 +190,7 @@ class ServerNode:
                         memory=item.get("satMemoryUrl"),
                         solver_id=item.get("solverId"),
                         timeout=_number(item, "timeout", float, 0.0),
-                        diversification=DiversificationSettings.from_json(
-                            item.get("diversification")
-                        ),
+                        diversification=_diversification(item),
                     )
                     for item in items
                 ]

@@ -181,9 +181,7 @@ class MemoryObject:
 
     def _snapshot_frame(self) -> bytes:
         """The view's whole state as one SNAPSHOT frame; caller holds the family lock."""
-        return wire.encode_snapshot(
-            self.view.var_count, [list(c) for c in self.view.iter_clauses()]
-        )
+        return wire.encode_snapshot(self.view.var_count, self.view.iter_clauses())
 
     def _serve_connection(self, conn: FrameWriter) -> None:
         with self.view.family_lock:

@@ -51,17 +51,27 @@ class DiversificationSettings:
                     raise ValueError(f"phase for x{var} must be a boolean")
 
     @classmethod
-    def from_json(cls, obj: Optional[dict]) -> "DiversificationSettings":
-        obj = obj or {}
-        phases = None
-        if obj.get("phases") is not None:
-            phases = {}
-            for key, value in obj["phases"].items():
+    def from_json(cls, obj) -> "DiversificationSettings":
+        """Settings from a web-call value; ValueError says what is malformed."""
+        obj = {} if obj is None else obj
+        if not isinstance(obj, dict):
+            raise ValueError("must be a JSON object")
+        phases = obj.get("phases")
+        if phases is not None:
+            if not isinstance(phases, dict):
+                raise ValueError("phases must be a JSON object")
+            by_var = {}
+            for key, value in phases.items():
                 match = _PHASE_KEY.match(str(key))
                 if not match:
                     raise ValueError(f"bad phase key: {key!r}")
-                phases[int(match.group(1))] = bool(value)
-        return cls(rank=int(obj.get("rank", 0)), size=int(obj.get("size", 1)), phases=phases)
+                by_var[int(match.group(1))] = value  # __post_init__ checks it is a boolean
+            phases = by_var
+        try:
+            rank, size = int(obj.get("rank", 0)), int(obj.get("size", 1))
+        except (TypeError, ValueError):
+            raise ValueError("rank and size must be integers") from None
+        return cls(rank=rank, size=size, phases=phases)
 
 
 @dataclass

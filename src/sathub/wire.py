@@ -22,7 +22,7 @@ messages rebroadcast by the hub.
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 ADD_VARIABLE = 0x01
 ADD_CLAUSE = 0x02
@@ -90,11 +90,12 @@ def encode_first_index(index: int) -> bytes:
     return struct.pack("<BI", FIRST_INDEX, index)
 
 
-def encode_snapshot(var_count: int, clauses: Sequence[Sequence[int]]) -> bytes:
-    parts = [struct.pack("<BII", SNAPSHOT, var_count, len(clauses))]
+def encode_snapshot(var_count: int, clauses: Iterable[Sequence[int]]) -> bytes:
+    """One SNAPSHOT frame; ``clauses`` may be any iterable, read once."""
+    parts = [b""]
     for clause in clauses:
-        parts.append(struct.pack("<I", len(clause)))
-        parts.append(struct.pack(f"<{len(clause)}i", *clause))
+        parts.append(struct.pack(f"<I{len(clause)}i", len(clause), *clause))
+    parts[0] = struct.pack("<BII", SNAPSHOT, var_count, len(parts) - 1)
     return b"".join(parts)
 
 

@@ -277,16 +277,16 @@ def test_criterion_08_lock_protocol_1000_reservations():
     report(8, f"1000 concurrent reservations, zero overlapping ranges ({elapsed:.1f}s)")
 
 
-def test_criterion_09_solver_lifecycle():
-    # BUSY on concurrent solve with timeout 0
+def test_criterion_09_solver_lifecycle(hold):
+    # BUSY on concurrent solve with timeout 0; the hold hook keeps the first solve running
     worker = SolverWorker()
-    clauses, n = php_clauses(11, 10)
+    clauses, n = php_clauses(3, 2)
     store = CnfStore(n)
     for clause in clauses:
         store.add_clause(clause)
     holder = {}
     thread = threading.Thread(
-        target=lambda: holder.update(outcome=worker.solve(store, web_pid="p1")),
+        target=lambda: holder.update(outcome=worker.solve(store, web_pid="p1", on_decision=hold)),
         daemon=True,
     )
     thread.start()
@@ -334,7 +334,7 @@ def test_criterion_09_solver_lifecycle():
     report(9, f"BUSY/cancel verified; {trials} randomized pause points all transparent")
 
 
-def test_criterion_10_parallelize_join():
+def test_criterion_10_parallelize_join(hold_runs):
     registry = SolverRegistry()
     for _ in range(3):
         SolverWorker(registry)
@@ -352,22 +352,24 @@ def test_criterion_10_parallelize_join():
         if outcome.result == "SAT":
             assert easy.evaluate(outcome.model)
 
-    clauses, n = gated_php(11, 10)
-    hard = CnfStore(n)
+    # the siblings without phases are held until the short circuit cancels them
+    hold_runs()
+    clauses, n = gated_php(3, 2)
+    gated = CnfStore(n)
     for clause in clauses:
-        hard.add_clause(clause)
+        gated.add_clause(clause)
     calls = [
         SolveCall(
-            memory=hard,
+            memory=gated,
             diversification=DiversificationSettings(rank=0, size=3, phases={1: True}),
         ),
-        SolveCall(memory=hard, diversification=DiversificationSettings(rank=1, size=3)),
-        SolveCall(memory=hard, diversification=DiversificationSettings(rank=2, size=3)),
+        SolveCall(memory=gated, diversification=DiversificationSettings(rank=1, size=3)),
+        SolveCall(memory=gated, diversification=DiversificationSettings(rank=2, size=3)),
     ]
     results = parallelize(registry, calls, first_sat_cancels=True, web_pid="parent")
     assert len(results) == 3
     assert results[0].result == "SAT"
-    assert hard.evaluate(results[0].model)
+    assert gated.evaluate(results[0].model)
     assert results[1].result == "UNKNOWN"
     assert results[2].result == "UNKNOWN"
     report(10, "3 positional results; short-circuit cancelled both siblings to UNKNOWN")

@@ -87,8 +87,9 @@ def test_solve_over_http(node):
     assert outcome["model"] == [False, True]
 
 
-def test_busy_over_http(node):
-    clauses, n = gated_php(11, 10)
+def test_busy_over_http(node, hold_runs):
+    hold_runs()  # the first solve stays BUSY until it is cancelled
+    clauses, n = gated_php(3, 2)
     created = fill_memory(node, clauses, n)
     solver_id = call(node, "Kernel.listSolvers")["solvers"][0]["solverId"]
 
@@ -333,6 +334,15 @@ def test_stalled_request_is_dropped_within_the_timeout(monkeypatch, capfd):
         ("SatSolver.solve", {"timeout": "x"}),
         ("SatCnf.create", {"initialVariableCount": "x"}),
         ("SatCnf.create", {"initialVariableCount": None}),
+        ("SatSolver.solve", {"diversification": 5}),
+        ("SatSolver.solve", {"diversification": {"rank": "x"}}),
+        ("SatSolver.solve", {"diversification": {"rank": 2, "size": 2}}),
+        ("SatSolver.solve", {"diversification": {"phases": [1]}}),
+        ("SatSolver.solve", {"diversification": {"phases": {"y1": True}}}),
+        ("SatSolver.solve", {"diversification": {"phases": {"x1": "yes"}}}),
+        ("SatSolver.solve", {"diversification": {"phases": {"x1": "false"}}}),
+        ("Kernel.parallelize", {"calls": [{"diversification": {"size": "z"}}]}),
+        ("Kernel.parallelize", {"calls": [{}, {"diversification": [1]}]}),
     ],
 )
 def test_bad_argument_answers_malformed_envelope(node, method, argument):
@@ -340,3 +350,5 @@ def test_bad_argument_answers_malformed_envelope(node, method, argument):
     reply = call(node, method, argument, object_ref=solver_id)
     assert list(reply) == ["error"]
     assert reply["error"].startswith("MALFORMED_ENVELOPE: "), reply
+    if "diversification" in str(argument):
+        assert reply["error"].startswith("MALFORMED_ENVELOPE: diversification: "), reply

@@ -233,9 +233,8 @@ def test_lock_blocks_other_variable_adds(service):
         t.start()
         time.sleep(0.15)
         assert state["done"] is False  # queued behind the lock
-        first = holder._request(wire.encode_add_vars(4), wire.FIRST_INDEX)
+        first = holder.reserve_variables(4)  # under its own lock
         assert first == 1
-        holder._sync_var_count(1, 4)
         holder._send(wire.encode_unlock_vars())
         t.join(timeout=5)
         assert state["done"] is True
@@ -301,7 +300,7 @@ def test_disconnect_releases_lock(service):
 
 @pytest.mark.parametrize("let_go", ["unlock", "disconnect", "timeout"])
 def test_lock_blocks_raw_add_variable(let_go):
-    # mirrors reserve with LOCK_VARS; the hub still takes its lock for a raw ADD_VARIABLE
+    # the hub takes its variable lock for ADD_VARIABLE, so it queues behind LOCK_VARS
     timeout = 0.3 if let_go == "timeout" else 10.0
     svc = MemoryService(lock_timeout=timeout)
     try:
@@ -313,7 +312,7 @@ def test_lock_blocks_raw_add_variable(let_go):
         result = {}
 
         def raw_add():
-            result["index"] = other._request(wire.encode_add_variable(), wire.VAR_INDEX)
+            result["index"] = other.add_variable()
             result["at"] = time.monotonic()
 
         t = threading.Thread(target=raw_add, daemon=True)
@@ -328,7 +327,7 @@ def test_lock_blocks_raw_add_variable(let_go):
             time.sleep(0.15)
             assert "index" not in result  # queued behind the lock
             if let_go == "unlock":
-                assert holder._request(wire.encode_add_vars(4), wire.FIRST_INDEX) == 1
+                assert holder.reserve_variables(4) == 1
                 holder._send(wire.encode_unlock_vars())
             else:
                 holder.close()
@@ -501,15 +500,16 @@ def test_reservation_updates_replica_before_unlock(service):
     other = threading.Thread(
         target=lambda: results.update(b=b.reserve_variables(8)), daemon=True
     )
-    sync = a._sync_var_count
+    apply = a.store.add_variables
 
-    def slow_sync(first, n):
-        # another peer asks for the lock while this reservation is being applied
+    def slow_apply(n):
+        # another peer reserves while a's replica applies a's own reservation
+        a.store.add_variables = apply  # only a's own block is slow
         other.start()
         time.sleep(0.2)
-        sync(first, n)
+        return apply(n)
 
-    a._sync_var_count = slow_sync
+    a.store.add_variables = slow_apply
     try:
         results["a"] = a.reserve_variables(8)
         other.join(timeout=5)
@@ -529,15 +529,16 @@ def test_add_variable_updates_replica_before_unlock(service):
     other = threading.Thread(
         target=lambda: results.update(b=b.reserve_variables(8)), daemon=True
     )
-    sync = a._sync_var_count
+    apply = a.store.add_variables
 
-    def slow_sync(first, n):
-        # another peer asks for the lock while this variable is being applied
+    def slow_apply(n):
+        # another peer reserves while a's replica applies a's own variable
+        a.store.add_variables = apply  # only a's own block is slow
         other.start()
         time.sleep(0.2)
-        sync(first, n)
+        return apply(n)
 
-    a._sync_var_count = slow_sync
+    a.store.add_variables = slow_apply
     try:
         results["a"] = a.add_variable()
         other.join(timeout=5)
@@ -550,12 +551,12 @@ def test_add_variable_updates_replica_before_unlock(service):
 
 
 def test_hub_still_answers_add_variable(service):
-    # mirrors reserve single variables with LOCK_VARS+ADD_VARS; the opcode stays valid
     obj = service.create_memory(2)
     mirror = connect(obj.direct_url)
     try:
-        assert mirror._request(wire.encode_add_variable(), wire.VAR_INDEX) == 3
+        assert mirror.add_variable() == 3
         assert obj.view.var_count == 3
+        assert mirror.var_count == 3
     finally:
         mirror.close()
 
@@ -565,14 +566,53 @@ def test_reservation_denied_to_lock_holder_keeps_replica_in_step(service):
     mirror = connect(obj.direct_url)
     try:
         mirror._request(wire.encode_lock_vars(), wire.LOCK_GRANTED)
-        with pytest.raises(LockTimeout):
-            mirror.reserve_variables(4)
-        # ADD_VARS went out with the refused LOCK_VARS and the hub applied it
+        # the hub applies a reservation from the lock holder at once
+        assert mirror.reserve_variables(4) == 1
         assert mirror.var_count == obj.view.var_count == 4
         mirror._send(wire.encode_unlock_vars())
         assert mirror.reserve_variables(2) == 5
         assert mirror.alive
     finally:
+        mirror.close()
+
+
+def test_reservations_send_one_frame_each(service):
+    obj = service.create_memory(0)
+    mirror = connect(obj.direct_url)
+    sent = []
+    send = mirror._writer.send
+    mirror._writer.send = lambda data: sent.append(data) or send(data)
+    try:
+        assert mirror.reserve_variables(8) == 1
+        assert sent == [wire.encode_add_vars(8)]
+        sent.clear()
+        assert mirror.add_variable() == 9
+        assert sent == [wire.encode_add_variable()]
+    finally:
+        mirror.close()
+
+
+@pytest.mark.parametrize("reply", ["wrong_index", "unsolicited"])
+def test_index_reply_out_of_step_kills_the_mirror(reply):
+    hub, sock = socket.socketpair()
+    hub.sendall(wire.encode_snapshot(3, []))
+    mirror = MemoryMirror(sock, "tcp://127.0.0.1:0")
+    try:
+        if reply == "unsolicited":
+            hub.sendall(wire.encode_var_index(4))
+        else:
+            def answer():
+                with hub.makefile("rb") as stream:
+                    wire.read_message(stream)  # the ADD_VARS
+                hub.sendall(wire.encode_first_index(7))  # the replica's next index is 4
+
+            threading.Thread(target=answer, daemon=True).start()
+            with pytest.raises(ConnectionError):
+                mirror.reserve_variables(2)
+        assert wait_until(lambda: not mirror.alive)
+        assert mirror.var_count == 3
+    finally:
+        hub.close()
         mirror.close()
 
 

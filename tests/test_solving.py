@@ -3,7 +3,6 @@ import time
 
 import pytest
 
-from sathub import dpll
 from sathub.client import connect
 from sathub.cnf import CnfStore
 from sathub.service import MemoryService
@@ -37,26 +36,6 @@ def held_store():
     return make_store([[1, 2]], 2)
 
 
-@pytest.fixture
-def hold(monkeypatch):
-    """Decision hook that keeps a solve running until the solve is cancelled.
-
-    The hook waits at the first decision on an event. Every solve control
-    sets that event right after its cancel flag, so a held solve stays BUSY
-    (or PAUSED) for as long as the test acts on it, however easy its
-    instance, and returns UNKNOWN at that decision once cancelled.
-    """
-    release = threading.Event()
-
-    class ReleasingControl(dpll.SolveControl):
-        def cancel(self) -> None:
-            super().cancel()
-            release.set()
-
-    monkeypatch.setattr(dpll, "SolveControl", ReleasingControl)
-    return lambda decision: release.wait()
-
-
 def start_solve(worker, store, **kwargs):
     """Kick off a solve on a thread; returns (thread, result holder)."""
     holder = {}
@@ -72,13 +51,17 @@ def start_solve(worker, store, **kwargs):
     return thread, holder
 
 
-def wait_for_state(worker, state, timeout=5.0):
+def wait_until(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if worker.record.state == state:
+        if predicate():
             return True
         time.sleep(0.002)
-    return worker.record.state == state
+    return predicate()
+
+
+def wait_for_state(worker, state, timeout=5.0):
+    return wait_until(lambda: worker.record.state == state, timeout)
 
 
 # -- diversification settings -------------------------------------------------
@@ -97,6 +80,8 @@ def test_diversification_validation():
     assert settings.phases == {5: True, 1: False}
     with pytest.raises(ValueError):
         DiversificationSettings.from_json({"phases": {"y1": True}})
+    with pytest.raises(ValueError):
+        DiversificationSettings.from_json({"phases": {"x1": "yes"}})
 
 
 def test_outcome_json_roundtrip():
@@ -278,25 +263,25 @@ def test_solve_over_live_mirror():
         service.shutdown()
 
 
-def test_memory_deleted_mid_search_returns_unknown():
+def test_memory_deleted_mid_search_returns_unknown(hold, hold_runs):
+    views = hold_runs()
     service = MemoryService()
     try:
         worker = SolverWorker()
-        obj = service.create_memory(0)
-        clauses, n = php_clauses(11, 10)
-        obj.view.add_variables(n)
-        for clause in clauses:
-            obj.view.add_clause(clause)
+        obj = service.create_memory(2)
+        obj.view.add_clause([1, 2])  # after one decision nothing is left but the poll
         thread, holder = start_solve(worker, obj.direct_url, web_pid="p")
         assert wait_for_state(worker, "BUSY")
-        time.sleep(0.1)
+        assert wait_until(lambda: views)  # the search has its mirror
         service.delete_memory(obj.object_id)
+        # the solve goes on only once its mirror has seen the close
+        assert wait_until(lambda: not views[0].alive)
+        hold.release()
         thread.join(timeout=15)
         assert not thread.is_alive()
         outcome = holder["outcome"]
-        assert outcome.result in ("UNKNOWN", "UNSAT")
-        if outcome.result == "UNKNOWN":
-            assert outcome.error == "MEMORY_UNAVAILABLE"
+        assert outcome.result == "UNKNOWN"
+        assert outcome.error == "MEMORY_UNAVAILABLE"
     finally:
         service.shutdown()
 
@@ -358,11 +343,12 @@ def test_parallelize_unknown_solver_slot():
     assert results[0].error == "NO_SUCH_SOLVER"
 
 
-def test_parallelize_first_sat_cancels_siblings():
+def test_parallelize_first_sat_cancels_siblings(hold_runs):
+    hold_runs()  # the siblings without phases stay held until they are cancelled
     registry = SolverRegistry()
     for _ in range(3):
         SolverWorker(registry)
-    clauses, n = gated_php(11, 10)
+    clauses, n = gated_php(3, 2)
     store = make_store(clauses, n)
     calls = [
         SolveCall(
