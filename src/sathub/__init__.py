@@ -11,7 +11,6 @@ from .node import ServerNode
 from .service import MemoryService
 from .solving import (
     DiversificationSettings,
-    JoinGroup,
     SolveCall,
     SolveOutcome,
     SolverRegistry,
@@ -29,7 +28,6 @@ __all__ = [
     "ExprNode",
     "FactorizationSpec",
     "ForkView",
-    "JoinGroup",
     "MemoryMirror",
     "MemoryService",
     "ServerNode",

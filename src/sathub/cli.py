@@ -16,7 +16,7 @@ from .cnf import CnfStore
 from .dpll import run as run_solver
 from .factoring import FactorizationSpec, build_factorization, decode_model
 from .node import ServerNode
-from .rpc import TransportError, web_call
+from .rpc import web_call
 
 EXIT_SAT = 0
 EXIT_UNSAT = 20
@@ -133,53 +133,53 @@ def cmd_factor(args) -> int:
         if "error" in created:
             print(f"error: {created['error']}", file=sys.stderr)
             return EXIT_ERROR
-        memory_ref = created["objectRef"]
-        mirror = connect(created["directUrl"])
         try:
-            build_factorization(spec, mirror)
+            mirror = connect(created["directUrl"])
+            try:
+                build_factorization(spec, mirror)
+            finally:
+                mirror.close()
+
+            if args.portfolio <= 1:
+                found = web_call(
+                    endpoint, "Kernel.findAvailable", {"timeout": args.wait}, web_pid=web_pid
+                )
+                if "error" in found:
+                    print(f"error: {found['error']}", file=sys.stderr)
+                    return EXIT_ERROR
+                outcome = web_call(
+                    endpoint,
+                    "SatSolver.solve",
+                    {
+                        "satMemoryUrl": created["directUrl"],
+                        "timeout": args.wait,
+                        "diversification": {"rank": 0, "size": 1},
+                    },
+                    object_ref=found["solverId"],
+                    web_pid=web_pid,
+                )
+            else:
+                calls = [
+                    {
+                        "satMemoryUrl": created["directUrl"],
+                        "timeout": args.wait,
+                        "diversification": {"rank": rank, "size": args.portfolio},
+                    }
+                    for rank in range(args.portfolio)
+                ]
+                reply = web_call(
+                    endpoint,
+                    "Kernel.parallelize",
+                    {"calls": calls, "firstSatCancels": True},
+                    web_pid=web_pid,
+                )
+                if "error" in reply:
+                    print(f"error: {reply['error']}", file=sys.stderr)
+                    return EXIT_ERROR
+                outcome = _pick_outcome(reply.get("results") or [])
         finally:
-            mirror.close()
-
-        if args.portfolio <= 1:
-            found = web_call(
-                endpoint, "Kernel.findAvailable", {"timeout": args.wait}, web_pid=web_pid
-            )
-            if "error" in found:
-                print(f"error: {found['error']}", file=sys.stderr)
-                return EXIT_ERROR
-            outcome = web_call(
-                endpoint,
-                "SatSolver.solve",
-                {
-                    "satMemoryUrl": created["directUrl"],
-                    "timeout": args.wait,
-                    "diversification": {"rank": 0, "size": 1},
-                },
-                object_ref=found["solverId"],
-                web_pid=web_pid,
-            )
-        else:
-            calls = [
-                {
-                    "satMemoryUrl": created["directUrl"],
-                    "timeout": args.wait,
-                    "diversification": {"rank": rank, "size": args.portfolio},
-                }
-                for rank in range(args.portfolio)
-            ]
-            reply = web_call(
-                endpoint,
-                "Kernel.parallelize",
-                {"calls": calls, "firstSatCancels": True},
-                web_pid=web_pid,
-            )
-            if "error" in reply:
-                print(f"error: {reply['error']}", file=sys.stderr)
-                return EXIT_ERROR
-            outcome = _pick_outcome(reply.get("results") or [])
-
-        web_call(endpoint, "SatCnf.delete", object_ref=memory_ref, web_pid=web_pid)
-    except TransportError as exc:
+            web_call(endpoint, "SatCnf.delete", object_ref=created["objectRef"], web_pid=web_pid)
+    except OSError as exc:  # a TransportError or a mirror that lost its hub
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

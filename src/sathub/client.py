@@ -40,7 +40,7 @@ def parse_direct_url(url: str) -> tuple[str, int]:
     if not url.startswith("tcp://"):
         raise ValueError(f"expected tcp:// direct URL, got {url!r}")
     host, _, port = url[len("tcp://"):].partition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdigit() or int(port) > 65535:
         raise ValueError(f"malformed direct URL: {url!r}")
     return host, int(port)
 

@@ -28,6 +28,9 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
+# Longest learned clause, in literals, that an exporting solve sends to its memory.
+EXPORT_MAX_LEN = 2
+
 
 class SolveControl:
     """Pause/resume/cancel signals observed by a running search."""
@@ -322,7 +325,6 @@ class DpllSolver:
         on_decision: Optional[Callable[[int], None]] = None,
         poll_clauses: Optional[Callable[[], list]] = None,
         exporter: Optional[Callable[[list[int]], None]] = None,
-        export_max_len: int = 0,
     ) -> SolveOutcome:
         self.phases = phases or {}
         self.phase[1:] = [0 if self.phases.get(v) else 1 for v in range(1, self.var_count + 1)]
@@ -345,7 +347,7 @@ class DpllSolver:
                     learnt, back = self._analyze(conflict)
                     self._backjump(back)
                     self.learnts.append(learnt)
-                    if len(learnt) <= export_max_len and exporter is not None:
+                    if exporter is not None and len(learnt) <= EXPORT_MAX_LEN:
                         exporter([_lit(code) for code in learnt])
                     if len(learnt) > 1:
                         self._watch(learnt)
@@ -399,7 +401,6 @@ def run(
     control: Optional[SolveControl] = None,
     *,
     export: bool = False,
-    export_max_len: int = 2,
     on_decision: Optional[Callable[[int], None]] = None,
 ) -> SolveOutcome:
     """Solve the CNF visible through ``view`` (a store, fork, or memory mirror).
@@ -407,7 +408,7 @@ def run(
     Returns SAT with a full model, UNSAT, or UNKNOWN after a cancel. New
     clauses appearing on the view during the search are folded in at decision
     boundaries; with ``export`` enabled, learned clauses of at most
-    ``export_max_len`` literals are pushed back to the view. A SAT model is
+    ``EXPORT_MAX_LEN`` literals are pushed back to the view. A SAT model is
     checked against every clause taken from the view before it is returned.
     """
     settings = settings or DiversificationSettings()
@@ -440,7 +441,6 @@ def run(
             on_decision=on_decision,
             poll_clauses=poll_live,
             exporter=exporter,
-            export_max_len=export_max_len if export else 0,
         )
     except ConnectionError:
         return SolveOutcome(UNKNOWN, error="MEMORY_UNAVAILABLE")

@@ -8,6 +8,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
+from .client import parse_direct_url
 from .service import MemoryService
 from .solving import (
     DiversificationSettings,
@@ -46,6 +47,20 @@ def _diversification(argument: dict) -> DiversificationSettings:
         return DiversificationSettings.from_json(argument.get("diversification"))
     except ValueError as exc:
         raise MalformedArgument(f"diversification: {exc}") from None
+
+
+def _memory_url(argument: dict) -> str:
+    """``argument["satMemoryUrl"]`` if it is a tcp://host:port URL; MalformedArgument if not."""
+    url = argument.get("satMemoryUrl")
+    if url is None:
+        raise MalformedArgument("satMemoryUrl: missing")
+    if not isinstance(url, str):
+        raise MalformedArgument(f"satMemoryUrl: must be a string, got {url!r}")
+    try:
+        parse_direct_url(url)
+    except ValueError as exc:
+        raise MalformedArgument(f"satMemoryUrl: {exc}") from None
+    return url
 
 
 class ServerNode:
@@ -171,10 +186,13 @@ class ServerNode:
                 if worker is None:
                     return {"error": "NO_SUCH_OBJECT"}
                 if method == "SatSolver.solve":
+                    # a bad timeout or diversification is named before a bad URL
+                    timeout = _number(argument, "timeout", float, 0.0)
+                    diversification = _diversification(argument)
                     outcome = worker.solve(
-                        argument.get("satMemoryUrl") or "",
-                        timeout=_number(argument, "timeout", float, 0.0),
-                        diversification=_diversification(argument),
+                        _memory_url(argument),
+                        timeout=timeout,
+                        diversification=diversification,
                         web_pid=web_pid,
                     )
                     return outcome.as_json()
@@ -185,14 +203,16 @@ class ServerNode:
                 items = argument.get("calls") or []
                 if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
                     raise MalformedArgument("calls must be a list of objects")
+                # every call's diversification is checked before any call's URL
+                settings = [_diversification(item) for item in items]
                 calls = [
                     SolveCall(
-                        memory=item.get("satMemoryUrl"),
                         solver_id=item.get("solverId"),
                         timeout=_number(item, "timeout", float, 0.0),
-                        diversification=_diversification(item),
+                        diversification=diversification,
+                        memory=_memory_url(item),
                     )
-                    for item in items
+                    for item, diversification in zip(items, settings)
                 ]
                 results = parallelize(
                     self.registry,

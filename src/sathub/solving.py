@@ -1,7 +1,8 @@
-"""Shared-solver contract: diversification, outcomes, registry, and parallelize/join."""
+"""Shared-solver contract: diversification, outcomes, registry, and parallelize."""
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 import time
@@ -161,14 +162,12 @@ class SolverWorker:
         registry: Optional[SolverRegistry] = None,
         endpoint: str = "",
         export: bool = False,
-        export_max_len: int = 2,
     ) -> None:
         self.record = SolverRecord(
             solver_id=uuid.uuid4().hex, solver_type="ReferenceDpll", endpoint=endpoint
         )
         self.registry = registry
         self.export = export
-        self.export_max_len = export_max_len
         self._cv = threading.Condition()
         self._control = None
         if registry is not None:
@@ -188,22 +187,27 @@ class SolverWorker:
         diversification: Optional[DiversificationSettings] = None,
         web_pid: str = "",
         on_decision=None,
+        control=None,
     ) -> SolveOutcome:
         """Run the reference solver on ``memory`` (a direct URL or a local view).
 
         Blocks until an outcome is available. If the worker is busy and does
-        not free up within ``timeout`` seconds, raises SolverBusy.
+        not free up within ``timeout`` seconds, raises SolverBusy. A
+        ``control`` (``dpll.SolveControl``) that is cancelled before the
+        worker is taken answers UNKNOWN without solving.
         """
         from . import dpll  # deferred: dpll depends on this module's types
 
+        control = control or dpll.SolveControl()
         with self._cv:
             end = time.monotonic() + max(0.0, timeout)
-            while self.record.state != IDLE:
+            while self.record.state != IDLE and not control.cancelled:
                 remaining = end - time.monotonic()
                 if remaining <= 0:
                     raise SolverBusy("solver busy")
                 self._cv.wait(remaining)
-            control = dpll.SolveControl()
+            if control.cancelled:
+                return SolveOutcome(dpll.UNKNOWN)
             self._control = control
             self.record.current_web_pid = web_pid
             self._set_state(BUSY)
@@ -225,7 +229,6 @@ class SolverWorker:
                 diversification,
                 control,
                 export=self.export,
-                export_max_len=self.export_max_len,
                 on_decision=on_decision,
             )
         finally:
@@ -267,33 +270,6 @@ class SolverWorker:
                 self._cv.wait()
 
 
-class JoinGroup:
-    """Counter-based join: completes when every expected slot has been filled once."""
-
-    _EMPTY = object()
-
-    def __init__(self, expected: int) -> None:
-        self.expected = expected
-        self.counter = 0
-        self.results = [self._EMPTY] * expected
-        self._cv = threading.Condition()
-
-    def join(self, slot: int, value) -> None:
-        with self._cv:
-            if self.results[slot] is not self._EMPTY:
-                raise ValueError(f"slot {slot} already filled")
-            self.results[slot] = value
-            self.counter += 1
-            if self.counter == self.expected:
-                self._cv.notify_all()
-
-    def wait(self, timeout: Optional[float] = None) -> list:
-        with self._cv:
-            if not self._cv.wait_for(lambda: self.counter == self.expected, timeout):
-                raise TimeoutError("join group incomplete")
-            return list(self.results)
-
-
 @dataclass
 class SolveCall:
     """One child of a parallelize group."""
@@ -311,63 +287,53 @@ def parallelize(
     first_sat_cancels: bool = False,
     web_pid: str = "",
 ) -> list[SolveOutcome]:
-    """Dispatch solve calls in parallel; results align positionally with ``calls``.
+    """Run solve calls on threads; results align positionally with ``calls``.
 
-    Per-child failures (BUSY, unknown solver) occupy that child's slot rather
-    than aborting the group. With ``first_sat_cancels``, the first SAT/UNSAT
-    child cancels its still-running siblings, which then report UNKNOWN.
+    Calls without a ``solver_id`` take the registry's workers round-robin.
+    Per-child failures (BUSY, unknown solver, an exception) occupy that
+    child's slot rather than aborting the group. With ``first_sat_cancels``,
+    the first SAT/UNSAT child cancels every sibling call, running or not yet
+    started, and those report UNKNOWN.
     """
-    if not calls:
-        return []
-    group = JoinGroup(len(calls))
-    workers_in_order = registry.workers()
-    short_circuit = threading.Event()
-    assigned: list[Optional[SolverWorker]] = []
-    auto_index = 0
-    for call in calls:
-        if call.solver_id is not None:
-            assigned.append(registry.get(call.solver_id))
-        elif workers_in_order:
-            assigned.append(workers_in_order[auto_index % len(workers_in_order)])
-            auto_index += 1
-        else:
-            assigned.append(None)
+    from . import dpll  # deferred: dpll depends on this module's types
 
-    def run_child(slot: int, call: SolveCall, worker: Optional[SolverWorker]) -> None:
-        if worker is None:
-            code = "NO_SUCH_SOLVER" if call.solver_id else "NONE_AVAILABLE"
-            group.join(slot, SolveOutcome(None, error=code))
-            return
-        if first_sat_cancels and short_circuit.is_set():
-            group.join(slot, SolveOutcome("UNKNOWN"))
-            return
+    pool = itertools.cycle(registry.workers())
+    assigned = [
+        registry.get(call.solver_id) if call.solver_id is not None else next(pool, None)
+        for call in calls
+    ]
+    controls = [dpll.SolveControl() for _ in calls]
+    results: list[Optional[SolveOutcome]] = [None] * len(calls)
+
+    def run_child(slot: int) -> None:
+        call, worker = calls[slot], assigned[slot]
         try:
-            outcome = worker.solve(
-                call.memory,
-                timeout=call.timeout,
-                diversification=call.diversification,
-                web_pid=web_pid,
-            )
+            if worker is None:
+                code = "NO_SUCH_SOLVER" if call.solver_id else "NONE_AVAILABLE"
+                outcome = SolveOutcome(None, error=code)
+            else:
+                outcome = worker.solve(
+                    call.memory,
+                    timeout=call.timeout,
+                    diversification=call.diversification,
+                    web_pid=web_pid,
+                    control=controls[slot],
+                )
         except SolverBusy:
             outcome = SolveOutcome(None, error="BUSY")
-        group.join(slot, outcome)
+        except Exception as exc:
+            outcome = SolveOutcome(None, error=str(exc) or type(exc).__name__)
+        results[slot] = outcome
         if first_sat_cancels and outcome.result in ("SAT", "UNSAT"):
-            short_circuit.set()
-            for other_slot, other in enumerate(assigned):
-                if other is None or other_slot == slot:
-                    continue
-                try:
-                    other.cancel(web_pid=web_pid)
-                except (SolverStateError, WebPidMismatch):
-                    pass
+            for other, control in enumerate(controls):
+                if other != slot:
+                    control.cancel()
 
     threads = [
-        threading.Thread(target=run_child, args=(i, call, assigned[i]), daemon=True)
-        for i, call in enumerate(calls)
+        threading.Thread(target=run_child, args=(slot,), daemon=True) for slot in range(len(calls))
     ]
     for t in threads:
         t.start()
-    results = group.wait()
     for t in threads:
         t.join()
     return results

@@ -1,6 +1,11 @@
+import threading
+import time
+
 import pytest
 
+from sathub import cli
 from sathub.cli import main, parse_product
+from sathub.cnf import CnfStore
 from sathub.dimacs import loads
 from sathub.node import ServerNode
 from sathub.rpc import web_call
@@ -123,6 +128,40 @@ def test_factor_transport_error(capsys, monkeypatch):
 def test_factor_releases_memory(node):
     main(["factor", "15", "--l", "4", "--endpoint", node.endpoint])
     # the instance created for the factoring job was deleted afterwards
+    assert node.memory._objects == {}
+
+
+def test_factor_deletes_its_memory_when_no_solver_is_free(hold, capsys):
+    lone = ServerNode(workers=1).start()
+    worker = lone.workers[0]
+    held = CnfStore(2)
+    held.add_clause([1, 2])
+    busy = threading.Thread(
+        target=worker.solve, args=(held,), kwargs={"web_pid": "other", "on_decision": hold},
+        daemon=True,
+    )
+    busy.start()
+    try:
+        deadline = time.monotonic() + 5
+        while worker.record.state != "BUSY" and time.monotonic() < deadline:
+            time.sleep(0.002)
+        code = main(["factor", "15", "--l", "4", "--endpoint", lone.endpoint, "--wait", "0"])
+        assert code == 1
+        assert "error: NONE_AVAILABLE" in capsys.readouterr().err
+        assert lone.memory._objects == {}
+    finally:
+        worker.cancel(web_pid="other")
+        busy.join(timeout=5)
+        lone.stop()
+
+
+def test_factor_mirror_failure_is_an_error_and_deletes_the_memory(node, capsys, monkeypatch):
+    def refuse(url):
+        raise ConnectionRefusedError(f"cannot reach {url}")
+
+    monkeypatch.setattr(cli, "connect", refuse)
+    assert main(["factor", "15", "--l", "4", "--endpoint", node.endpoint]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot reach tcp://")
     assert node.memory._objects == {}
 
 

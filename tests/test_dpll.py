@@ -227,7 +227,7 @@ def test_export_learned_short_clauses():
     solver = DpllSolver(store.var_count)
     for clause in store.clause_tuples():
         solver.add_clause(clause)
-    outcome = solver.solve(exporter=exported.append, export_max_len=2)
+    outcome = solver.solve(exporter=exported.append)
     assert outcome.result == "UNSAT"
     assert exported  # the 2x2 contradiction yields conflict-derived clauses
     learned = {frozenset(c) for c in solver.learned}
@@ -252,7 +252,7 @@ def test_learned_clause_length_gate(run_solvers):
     clauses, n = php_clauses(4, 3)
     store = make_store(clauses, n)
     original = store.clause_tuples()
-    outcome = run(store, export=True, export_max_len=2)
+    outcome = run(store, export=True)
     assert outcome.result == "UNSAT"
     learned = {frozenset(c) for c in run_solvers[-1].learned}
     for clause in store.clause_tuples()[len(original):]:

@@ -324,6 +324,20 @@ def test_stalled_request_is_dropped_within_the_timeout(monkeypatch, capfd):
     assert capfd.readouterr().err == ""
 
 
+# Each answers "MALFORMED_ENVELOPE: satMemoryUrl: <reason>".
+BAD_MEMORY_URLS = [
+    ("SatSolver.solve", {}),
+    ("SatSolver.solve", {"satMemoryUrl": 5}),
+    ("SatSolver.solve", {"satMemoryUrl": ""}),
+    ("SatSolver.solve", {"satMemoryUrl": "http://127.0.0.1:1"}),
+    ("SatSolver.solve", {"satMemoryUrl": "tcp://127.0.0.1"}),
+    ("SatSolver.solve", {"satMemoryUrl": "tcp://127.0.0.1:99999"}),
+    ("Kernel.parallelize", {"calls": [{}]}),
+    ("Kernel.parallelize", {"calls": [{"satMemoryUrl": ["tcp://127.0.0.1:1"]}]}),
+    ("Kernel.parallelize", {"calls": [{"satMemoryUrl": "tcp://:1"}]}),
+]
+
+
 @pytest.mark.parametrize(
     "method, argument",
     [
@@ -343,7 +357,8 @@ def test_stalled_request_is_dropped_within_the_timeout(monkeypatch, capfd):
         ("SatSolver.solve", {"diversification": {"phases": {"x1": "false"}}}),
         ("Kernel.parallelize", {"calls": [{"diversification": {"size": "z"}}]}),
         ("Kernel.parallelize", {"calls": [{}, {"diversification": [1]}]}),
-    ],
+    ]
+    + BAD_MEMORY_URLS,
 )
 def test_bad_argument_answers_malformed_envelope(node, method, argument):
     solver_id = call(node, "Kernel.listSolvers")["solvers"][0]["solverId"]
@@ -352,3 +367,14 @@ def test_bad_argument_answers_malformed_envelope(node, method, argument):
     assert reply["error"].startswith("MALFORMED_ENVELOPE: "), reply
     if "diversification" in str(argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: diversification: "), reply
+    if (method, argument) in BAD_MEMORY_URLS:
+        assert reply["error"].startswith("MALFORMED_ENVELOPE: satMemoryUrl: "), reply
+
+
+def test_unreachable_memory_url_answers_unknown(node):
+    solver_id = call(node, "Kernel.listSolvers")["solvers"][0]["solverId"]
+    argument = {"satMemoryUrl": "tcp://127.0.0.1:1"}
+    reply = call(node, "SatSolver.solve", argument, object_ref=solver_id)
+    assert reply == {"result": "UNKNOWN", "error": "MEMORY_UNAVAILABLE"}
+    reply = call(node, "Kernel.parallelize", {"calls": [argument]})
+    assert reply == {"results": [{"result": "UNKNOWN", "error": "MEMORY_UNAVAILABLE"}]}

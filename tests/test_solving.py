@@ -3,12 +3,12 @@ import time
 
 import pytest
 
+from sathub import dpll
 from sathub.client import connect
 from sathub.cnf import CnfStore
 from sathub.service import MemoryService
 from sathub.solving import (
     DiversificationSettings,
-    JoinGroup,
     NoSolverAvailable,
     SolveCall,
     SolveOutcome,
@@ -249,6 +249,18 @@ def test_solve_on_unreachable_memory():
     assert worker.record.state == "IDLE"
 
 
+def test_control_cancelled_before_the_solve_answers_unknown_unconnected():
+    worker = SolverWorker()
+    states = []
+    worker._set_state = lambda state: states.append(state)
+    control = dpll.SolveControl()
+    control.cancel()
+    outcome = worker.solve("tcp://127.0.0.1:1", web_pid="p", control=control)
+    # an attempted connect to the closed port would have answered MEMORY_UNAVAILABLE
+    assert (outcome.result, outcome.error) == ("UNKNOWN", None)
+    assert states == []
+
+
 def test_solve_over_live_mirror():
     service = MemoryService()
     try:
@@ -286,18 +298,7 @@ def test_memory_deleted_mid_search_returns_unknown(hold, hold_runs):
         service.shutdown()
 
 
-# -- join groups and parallelize -------------------------------------------------
-
-
-def test_join_group_counts_and_slots():
-    group = JoinGroup(3)
-    group.join(1, "b")
-    group.join(0, "a")
-    with pytest.raises(ValueError):
-        group.join(0, "again")
-    group.join(2, "c")
-    assert group.wait(timeout=1) == ["a", "b", "c"]
-    assert group.counter == group.expected == 3
+# -- parallelize -----------------------------------------------------------------
 
 
 def test_parallelize_empty():
@@ -365,6 +366,61 @@ def test_parallelize_first_sat_cancels_siblings(hold_runs):
     assert {r.result for r in results[1:]} == {"UNKNOWN"}
 
 
+def test_parallelize_child_that_raises_fills_its_slot():
+    registry = SolverRegistry()
+    SolverWorker(registry)
+    calls = [SolveCall(memory=None), SolveCall(memory=make_store([[1]], 1))]
+    holder = {}
+    thread = threading.Thread(
+        target=lambda: holder.update(results=parallelize(registry, calls)), daemon=True
+    )
+    thread.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    failed, solved = holder["results"]
+    assert failed.result is None and failed.error
+    assert solved.result == "SAT"
+
+
+def test_first_sat_cancels_a_sibling_still_waiting_for_its_worker(monkeypatch):
+    registry = SolverRegistry()
+    blocked, free = SolverWorker(registry), SolverWorker(registry)
+    cancelled = threading.Event()
+
+    class SignallingControl(dpll.SolveControl):
+        def cancel(self) -> None:
+            super().cancel()
+            cancelled.set()
+
+    monkeypatch.setattr(dpll, "SolveControl", SignallingControl)
+    # another web process holds the sibling's worker until a control is cancelled
+    blocker_thread, blocker = start_solve(
+        blocked, held_store(), web_pid="other", on_decision=lambda d: cancelled.wait(5)
+    )
+    assert wait_for_state(blocked, "BUSY")
+
+    sibling_entered = threading.Event()
+    solve = SolverWorker.solve
+
+    def ordered_solve(worker, memory, **kwargs):
+        if worker is blocked:
+            sibling_entered.set()
+        else:
+            assert sibling_entered.wait(5)  # the winner starts after the sibling
+        return solve(worker, memory, **kwargs)
+
+    monkeypatch.setattr(SolverWorker, "solve", ordered_solve)
+    calls = [
+        SolveCall(memory=held_store(), solver_id=blocked.record.solver_id, timeout=10.0),
+        SolveCall(memory=make_store([[1]], 1), solver_id=free.record.solver_id),
+    ]
+    sibling, winner = parallelize(registry, calls, first_sat_cancels=True, web_pid="parent")
+    assert winner.result == "SAT"
+    assert sibling.result == "UNKNOWN"
+    blocker_thread.join(timeout=5)
+    assert blocker["outcome"].result == "SAT"
+
+
 def test_exported_learned_clauses_reach_peer_mirrors():
     service = MemoryService()
     try:
@@ -374,7 +430,7 @@ def test_exported_learned_clauses_reach_peer_mirrors():
         for clause in clauses:
             obj.view.add_clause(clause)
         observer = connect(obj.direct_url)
-        worker = SolverWorker(export=True, export_max_len=2)
+        worker = SolverWorker(export=True)
         outcome = worker.solve(obj.direct_url, web_pid="p")
         assert outcome.result == "UNSAT"
         base = {tuple(c) for c in clauses}
