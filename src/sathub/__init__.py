@@ -3,7 +3,7 @@
 from .bitvec import BitVec, negation, product_with, sum_with
 from .circuits import CircuitBuilder, build_expression_circuit
 from .client import MemoryMirror, connect
-from .cnf import ClauseRangeError, CnfStore, ForkView, canonical_clause
+from .cnf import ClauseRangeError, CnfStore, canonical_clause
 from .dpll import DpllSolver, SolveControl, run
 from .exprs import ExprNode, eval_expr, lower_to_cnf
 from .factoring import FactorizationSpec, build_factorization, decode_model
@@ -27,7 +27,6 @@ __all__ = [
     "DpllSolver",
     "ExprNode",
     "FactorizationSpec",
-    "ForkView",
     "MemoryMirror",
     "MemoryService",
     "ServerNode",

@@ -42,12 +42,7 @@ def cmd_serve(args) -> int:
         print("error: need at least one solver worker", file=sys.stderr)
         return EXIT_ERROR
     try:
-        node = ServerNode(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            lock_timeout=args.lock_timeout,
-        )
+        node = ServerNode(host=args.host, port=args.port, workers=args.workers)
     except OSError as exc:
         print(f"error: cannot listen on port {args.port}: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -228,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--workers", type=int, default=default_workers())
-    serve.add_argument("--lock-timeout", type=float, default=10.0)
     serve.set_defaults(func=cmd_serve)
 
     encode = sub.add_parser("encode", help="encode a factorization instance")

@@ -106,7 +106,7 @@ class MemoryMirror:
     def clause_tuples(self) -> list[tuple[int, ...]]:
         return self.store.clause_tuples()
 
-    def clauses_since(self, cursor: tuple[int, ...] = ()):
+    def clauses_since(self, cursor: int = 0):
         return self.store.clauses_since(cursor)
 
     def evaluate(self, assignment) -> bool:

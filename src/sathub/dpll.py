@@ -403,7 +403,7 @@ def run(
     export: bool = False,
     on_decision: Optional[Callable[[int], None]] = None,
 ) -> SolveOutcome:
-    """Solve the CNF visible through ``view`` (a store, fork, or memory mirror).
+    """Solve the CNF visible through ``view`` (a store or a memory mirror).
 
     Returns SAT with a full model, UNSAT, or UNKNOWN after a cancel. New
     clauses appearing on the view during the search are folded in at decision

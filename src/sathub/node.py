@@ -27,6 +27,10 @@ MAX_REQUEST_BYTES = 16 * 1024 * 1024
 # before the node drops it.
 REQUEST_TIMEOUT = 10.0
 
+# Seconds between the HTTP server's checks for a shutdown request; ``stop``
+# waits up to this long.
+POLL_INTERVAL = 0.05
+
 
 class MalformedArgument(ValueError):
     """A web-call argument of the wrong type or shape."""
@@ -71,11 +75,10 @@ class ServerNode:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 1,
-        lock_timeout: float = 10.0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one solver worker, got {workers}")
-        self.memory = MemoryService(host=host, lock_timeout=lock_timeout)
+        self.memory = MemoryService(host=host)
         self.registry = SolverRegistry()
 
         node = self
@@ -135,7 +138,9 @@ class ServerNode:
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> "ServerNode":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(POLL_INTERVAL,), daemon=True
+        )
         self._thread.start()
         return self
 

@@ -1,16 +1,21 @@
 """Network-facing SAT memory: memory registry plus the binary direct-access hub.
 
-Each memory object (origin store or fork) gets its own TCP listener; its
-``directUrl`` is the address of that socket. A new connection receives a
-full snapshot first, then every state change exactly once. Clause and
+Each memory object (an origin memory or a fork) gets its own TCP listener;
+its ``directUrl`` is the address of that socket. A new connection receives
+a full snapshot first, then every state change exactly once. Clause and
 variable additions from one peer are applied to the store and rebroadcast
-to all other peers of every view that newly sees them; the originator is
-never echoed. Mutations and broadcast enqueues happen under one family
-lock per instance, so all peers observe updates in a single global order.
+to all other peers; the originator is never echoed.
+
+A fork starts as a copy of its parent's store. The hub keeps an attached
+fork fed: every clause its parent newly stores, and every variable its
+family adds, is applied to the fork's store too and broadcast to its peers.
+An attached fork shares its parent's hub lock, so mutations and broadcast
+enqueues across the whole attached family happen in one global order. A
+detached fork shares nothing with its parent after the copy.
 
 The variable lock guards variable-count changes only: variable additions
 from other connections queue FIFO behind the holder and are applied after
-the unlock (or after the configurable force-release timeout).
+the unlock (or after the ``LOCK_TIMEOUT`` force-release).
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from typing import Optional
 
 from . import wire
 from .cnf import ClauseRangeError, CnfStore, canonical_clause
+
+# Seconds an explicit variable lock may be held before the hub force-releases it.
+LOCK_TIMEOUT = 10.0
 
 
 class FrameWriter:
@@ -88,8 +96,7 @@ class FrameWriter:
 class LockManager:
     """FIFO variable lock for one variable-counter owner."""
 
-    def __init__(self, timeout: float = 10.0) -> None:
-        self.timeout = timeout
+    def __init__(self) -> None:
         self._cv = threading.Condition()
         self._holder = None
         self._tickets: deque = deque()
@@ -122,7 +129,7 @@ class LockManager:
             return True
 
     def arm_force_release(self, token, on_expire) -> None:
-        """Schedule force-release of an explicit lock after the hold timeout."""
+        """Schedule force-release of an explicit lock after ``LOCK_TIMEOUT``."""
         def fire() -> None:
             with self._cv:
                 if self._holder is not token:
@@ -133,7 +140,7 @@ class LockManager:
 
         with self._cv:
             self._cancel_timer()
-            self._timer = threading.Timer(self.timeout, fire)
+            self._timer = threading.Timer(LOCK_TIMEOUT, fire)
             self._timer.daemon = True
             self._timer.start()
 
@@ -144,21 +151,28 @@ class LockManager:
 
 
 class MemoryObject:
-    """One addressable SAT memory view: an origin store or a fork."""
+    """One addressable SAT memory: a store, its peers, and the attached forks it feeds.
 
-    def __init__(self, service: "MemoryService", view, parent: Optional["MemoryObject"], attached: bool) -> None:
-        self.service = service
+    An object without a ``parent`` (an origin, or a detached fork) owns its
+    variables, its hub lock (its store's lock) and its variable lock; an
+    attached fork shares all three with its parent.
+    """
+
+    def __init__(self, service: "MemoryService", view: CnfStore, parent: Optional["MemoryObject"] = None) -> None:
         self.view = view
         self.object_id = uuid.uuid4().hex
-        self.children: list[tuple[MemoryObject, bool]] = []
+        self.parent = parent
+        self.children: list[MemoryObject] = []
         self.peers: list[FrameWriter] = []
         self.closed = False
-        if parent is not None and attached:
-            self.var_owner = parent.var_owner
-            self.lock_mgr = parent.lock_mgr
-        else:
+        if parent is None:
             self.var_owner = self
-            self.lock_mgr = LockManager(service.lock_timeout)
+            self.lock = view.lock
+            self.lock_mgr = LockManager()
+        else:
+            self.var_owner = parent.var_owner
+            self.lock = parent.lock
+            self.lock_mgr = parent.lock_mgr
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((service.host, 0))
@@ -180,11 +194,11 @@ class MemoryObject:
             ).start()
 
     def _snapshot_frame(self) -> bytes:
-        """The view's whole state as one SNAPSHOT frame; caller holds the family lock."""
+        """The store's whole state as one SNAPSHOT frame; caller holds the lock."""
         return wire.encode_snapshot(self.view.var_count, self.view.iter_clauses())
 
     def _serve_connection(self, conn: FrameWriter) -> None:
-        with self.view.family_lock:
+        with self.lock:
             conn.send(self._snapshot_frame())
             self.peers.append(conn)
         stream = conn.sock.makefile("rb")
@@ -200,7 +214,7 @@ class MemoryObject:
                 if not self._dispatch(conn, opcode, payload):
                     return
         finally:
-            with self.view.family_lock:
+            with self.lock:
                 if conn in self.peers:
                     self.peers.remove(conn)
             self.lock_mgr.release(conn)
@@ -246,7 +260,7 @@ class MemoryObject:
             return True
 
         if opcode == wire.SNAPSHOT_REQUEST:
-            with self.view.family_lock:
+            with self.lock:
                 conn.send(self._snapshot_frame())
             return True
 
@@ -261,7 +275,7 @@ class MemoryObject:
         Raises ``ClauseRangeError`` out of range, ``ValueError`` if malformed.
         """
         clause = canonical_clause(literals)
-        with self.view.family_lock:
+        with self.lock:
             added = self.view._add_canonical(clause)
             if added:
                 self._broadcast_clause(clause, exclude=origin)
@@ -272,16 +286,15 @@ class MemoryObject:
 
         The lock is taken for this call unless ``origin`` already holds it.
         The frame ``reply(first)`` is queued to ``origin`` in the same
-        family-lock section as the broadcast, so it keeps its global order.
+        hub-lock section as the broadcast, so it keeps its global order.
         """
         token = origin or object()
         acquired = self.lock_mgr.acquire(token)  # False: origin already holds it
         try:
-            with self.view.family_lock:
-                first = self.view.add_variables(n)
+            with self.lock:
+                first = self.var_owner._grow(n, exclude=origin)
                 if reply is not None:
                     origin.send(reply(first))
-                self.var_owner._broadcast_vars(n, exclude=origin)
         finally:
             if acquired:
                 self.lock_mgr.release(token)
@@ -290,7 +303,8 @@ class MemoryObject:
     def _broadcast_clause(
         self, clause: tuple, exclude: Optional[FrameWriter], data: Optional[bytes] = None
     ) -> None:
-        """Send a newly visible clause down the attached-view tree; caller holds the lock.
+        """Send a newly stored clause to the peers, and feed it to each attached
+        fork that does not hold it yet; caller holds the lock.
 
         The frame is encoded once, and only if some peer receives it."""
         for peer in self.peers:
@@ -298,18 +312,21 @@ class MemoryObject:
                 if data is None:
                     data = wire.encode_add_clause(clause)
                 peer.send(data)
-        for child, attached in self.children:
-            if attached and not child.view._locally_stored(clause):
+        for child in self.children:
+            if child.view._add_canonical(clause):
                 child._broadcast_clause(clause, exclude, data)
 
-    def _broadcast_vars(self, n: int, exclude: Optional[FrameWriter]) -> None:
+    def _grow(self, n: int, exclude: Optional[FrameWriter]) -> int:
+        """Add ``n`` variables to this store and every attached fork below it,
+        broadcast them, and return the first; caller holds the lock."""
+        first = self.view.add_variables(n)
         data = wire.encode_add_vars(n)
         for peer in self.peers:
             if peer is not exclude:
                 peer.send(data)
-        for child, attached in self.children:
-            if attached:
-                child._broadcast_vars(n, exclude)
+        for child in self.children:
+            child._grow(n, exclude)
+        return first
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -321,8 +338,14 @@ class MemoryObject:
         except OSError:
             pass
         self._listener.close()
-        with self.view.family_lock:
+        with self.lock:
             peers, self.peers = self.peers, []
+            if self.parent is not None:
+                # the parent feeds this fork's attached forks from now on
+                self.parent.children.remove(self)
+                self.parent.children.extend(self.children)
+                for child in self.children:
+                    child.parent = self.parent
         for peer in peers:
             peer.close()
 
@@ -330,14 +353,13 @@ class MemoryObject:
 class MemoryService:
     """Registry of live SAT memory instances."""
 
-    def __init__(self, host: str = "127.0.0.1", lock_timeout: float = 10.0) -> None:
+    def __init__(self, host: str = "127.0.0.1") -> None:
         self.host = host
-        self.lock_timeout = lock_timeout
         self._objects: dict[str, MemoryObject] = {}
         self._lock = threading.Lock()
 
     def create_memory(self, initial_variable_count: int = 0) -> MemoryObject:
-        obj = MemoryObject(self, CnfStore(initial_variable_count), parent=None, attached=True)
+        obj = MemoryObject(self, CnfStore(initial_variable_count))
         with self._lock:
             self._objects[obj.object_id] = obj
         return obj
@@ -347,9 +369,14 @@ class MemoryService:
             return self._objects.get(object_id)
 
     def fork_memory(self, obj: MemoryObject, detach: bool) -> MemoryObject:
-        child = MemoryObject(self, obj.view.fork(detach=detach), parent=obj, attached=not detach)
-        with obj.view.family_lock:
-            obj.children.append((child, not detach))
+        """A new memory holding a copy of ``obj``'s store; unless ``detach``,
+        ``obj`` feeds it every later clause and variable."""
+        with obj.lock:
+            store = CnfStore(obj.view.var_count)
+            store._extend_canonical(obj.view.clause_tuples())
+            child = MemoryObject(self, store, parent=None if detach else obj)
+            if not detach:
+                obj.children.append(child)
         with self._lock:
             self._objects[child.object_id] = child
         return child

@@ -328,6 +328,11 @@ def parallelize(
             for other, control in enumerate(controls):
                 if other != slot:
                     control.cancel()
+            # wake siblings still waiting for a worker, so they see their cancel
+            for worker in assigned:
+                if worker is not None:
+                    with worker._cv:
+                        worker._cv.notify_all()
 
     threads = [
         threading.Thread(target=run_child, args=(slot,), daemon=True) for slot in range(len(calls))

@@ -1,11 +1,21 @@
 import itertools
 import random
+import time
 
 import pytest
 
+from sathub.client import connect
 from sathub.cnf import ClauseRangeError, CnfStore, canonical_clause
+from sathub.service import MemoryService
 
 from oracles import cnf_models
+
+
+@pytest.fixture
+def service():
+    svc = MemoryService()
+    yield svc
+    svc.shutdown()
 
 
 def test_add_variable_counts():
@@ -84,76 +94,6 @@ def test_tautologies_and_duplicate_literals():
     assert store.clauses() == [[-1, 1], [2]]
 
 
-def test_attached_fork_sees_origin_updates():
-    store = CnfStore(3)
-    fork = store.fork(detach=False)
-    store.add_clause([1])
-    assert [1] in fork.clauses()
-    assert fork.var_count == 3
-    store.add_variable()
-    assert fork.var_count == 4
-
-
-def test_detached_fork_is_frozen():
-    store = CnfStore(3)
-    store.add_clause([1, 2])
-    fork = store.fork(detach=True)
-    store.add_clause([3])
-    store.add_variables(2)
-    assert fork.clauses() == [[1, 2]]
-    assert fork.var_count == 3
-
-
-def test_fork_writes_never_reach_origin():
-    store = CnfStore(3)
-    store.add_clause([1, 2])
-    fork = store.fork(detach=False)
-    fork.add_clause([-1])
-    assert store.clauses() == [[1, 2]]
-    assert fork.clauses() == [[1, 2], [-1]]
-
-
-def test_fork_dedups_against_origin():
-    store = CnfStore(3)
-    store.add_clause([1, 2])
-    fork = store.fork(detach=False)
-    assert fork.add_clause([2, 1]) is False
-    # origin may later add a clause the fork stored first; the fork then
-    # reports it once, at its origin position
-    assert fork.add_clause([3]) is True
-    assert store.add_clause([3]) is True
-    assert fork.clauses().count([3]) == 1
-
-
-def test_fork_of_fork_chain():
-    store = CnfStore(2)
-    store.add_clause([1])
-    f1 = store.fork(detach=False)
-    f1.add_clause([2])
-    f2 = f1.fork(detach=False)
-    f2.add_clause([-1, -2])
-    assert f2.clauses() == [[1], [2], [-1, -2]]
-    store.add_clause([-2, 1])
-    assert [1, -2] in f2.clauses()
-    assert f1.clauses() == [[1], [1, -2], [2]]
-
-
-def test_detached_fork_own_variables():
-    store = CnfStore(2)
-    fork = store.fork(detach=True)
-    assert fork.add_variable() == 3
-    assert store.var_count == 2
-    fork.add_clause([3])
-    assert fork.clauses() == [[3]]
-
-
-def test_attached_fork_shares_variables():
-    store = CnfStore(2)
-    fork = store.fork(detach=False)
-    assert fork.add_variable() == 3
-    assert store.var_count == 3
-
-
 def test_evaluate_basic():
     store = CnfStore(2)
     store.add_clause([1, 2])
@@ -190,61 +130,164 @@ def test_evaluate_matches_truth_table_exhaustively():
             assert store.evaluate(list(bits)) == (bits in models)
 
 
-def test_fork_isolation_random_interleavings():
+# -- forks: copies that the hub keeps fed (MemoryService.fork_memory) ---------
+
+
+def test_attached_fork_sees_origin_updates(service):
+    origin = service.create_memory(3)
+    fork = service.fork_memory(origin, detach=False)
+    origin.add_clause([1])
+    assert [1] in fork.view.clauses()
+    assert fork.view.var_count == 3
+    origin.add_variables(1)
+    assert fork.view.var_count == 4
+
+
+def test_detached_fork_is_frozen(service):
+    origin = service.create_memory(3)
+    origin.add_clause([1, 2])
+    fork = service.fork_memory(origin, detach=True)
+    origin.add_clause([3])
+    origin.add_variables(2)
+    assert fork.view.clauses() == [[1, 2]]
+    assert fork.view.var_count == 3
+
+
+def test_fork_writes_never_reach_origin(service):
+    origin = service.create_memory(3)
+    origin.add_clause([1, 2])
+    fork = service.fork_memory(origin, detach=False)
+    fork.add_clause([-1])
+    assert origin.view.clauses() == [[1, 2]]
+    assert fork.view.clauses() == [[1, 2], [-1]]
+
+
+def test_fork_dedups_against_origin(service):
+    origin = service.create_memory(3)
+    origin.add_clause([1, 2])
+    fork = service.fork_memory(origin, detach=False)
+    assert fork.add_clause([2, 1]) is False
+    # origin may later add a clause the fork stored first; the fork holds it once
+    assert fork.add_clause([3]) is True
+    assert origin.add_clause([3]) is True
+    assert fork.view.clauses().count([3]) == 1
+
+
+def test_fork_of_fork_chain(service):
+    origin = service.create_memory(2)
+    origin.add_clause([1])
+    f1 = service.fork_memory(origin, detach=False)
+    f1.add_clause([2])
+    f2 = service.fork_memory(f1, detach=False)
+    f2.add_clause([-1, -2])
+    assert f2.view.clauses() == [[1], [2], [-1, -2]]
+    origin.add_clause([-2, 1])
+    # a fork lists clauses in the order it received them
+    assert f2.view.clauses() == [[1], [2], [-1, -2], [1, -2]]
+    assert f1.view.clauses() == [[1], [2], [1, -2]]
+    # variables are shared along the whole attached chain
+    assert f2.add_variables(1) == 3
+    assert origin.add_variables(1) == 4
+    assert origin.view.var_count == f1.view.var_count == f2.view.var_count == 4
+
+
+def test_detached_fork_own_variables(service):
+    origin = service.create_memory(2)
+    fork = service.fork_memory(origin, detach=True)
+    assert fork.add_variables(1) == 3
+    assert origin.view.var_count == 2
+    fork.add_clause([3])
+    assert fork.view.clauses() == [[3]]
+    # an attached fork of a detached fork shares the detached fork's variables
+    sub = service.fork_memory(fork, detach=False)
+    origin.add_variables(5)
+    assert sub.add_variables(1) == 4
+    assert (origin.view.var_count, fork.view.var_count, sub.view.var_count) == (7, 4, 4)
+
+
+def test_attached_fork_shares_variables(service):
+    origin = service.create_memory(2)
+    fork = service.fork_memory(origin, detach=False)
+    assert fork.add_variables(1) == 3
+    assert origin.view.var_count == 3
+
+
+def random_clause(rng, n, max_width=None):
+    width = rng.randint(1, max_width or n)
+    return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), width)]
+
+
+def test_fork_isolation_random_interleavings(service):
     rng = random.Random(42)
     for trial in range(40):
         n = rng.randint(2, 5)
         plain = CnfStore(n)
-        layered = CnfStore(n)
-        forks = [layered.fork(detach=rng.random() < 0.5) for _ in range(3)]
-        for _ in range(30):
-            clause = [
-                v if rng.random() < 0.5 else -v
-                for v in rng.sample(range(1, n + 1), rng.randint(1, n))
-            ]
-            target = rng.randrange(4)
+        origin = service.create_memory(n)
+        forks = []  # (memory, attached, model of its clause set)
+        for step in range(30):
+            if step % 10 == 0:
+                attached = rng.random() < 0.5
+                fork = service.fork_memory(origin, detach=not attached)
+                forks.append((fork, attached, set(plain.clause_tuples())))
+            clause = random_clause(rng, n)
+            target = rng.randrange(len(forks) + 1)
             if target == 0:
                 plain.add_clause(clause)
-                layered.add_clause(clause)
+                origin.add_clause(clause)
+                for _, attached, model in forks:
+                    if attached:
+                        model.add(canonical_clause(clause))
             else:
-                forks[target - 1].add_clause(clause)
-        assert layered.clauses() == plain.clauses()
+                fork, _, model = forks[target - 1]
+                fork.add_clause(clause)
+                model.add(canonical_clause(clause))
+        assert origin.view.clauses() == plain.clauses()
+        for fork, _, model in forks:
+            held = fork.view.clause_tuples()
+            assert len(held) == len(model) and set(held) == model
+            service.delete_memory(fork.object_id)
+        service.delete_memory(origin.object_id)
 
 
-def test_dedup_soundness_across_views():
+def test_dedup_soundness_across_views(service):
     rng = random.Random(9)
-    store = CnfStore(4)
-    fork = store.fork(detach=False)
-    for _ in range(200):
-        clause = [
-            v if rng.random() < 0.5 else -v
-            for v in rng.sample(range(1, 5), rng.randint(1, 4))
-        ]
-        (store if rng.random() < 0.5 else fork).add_clause(clause)
-    for view in (store, fork):
-        seen = view.clause_tuples()
-        assert len(seen) == len(set(seen))
+    origin = service.create_memory(4)
+    fork = service.fork_memory(origin, detach=False)
+    mirror = connect(fork.direct_url)
+    try:
+        for _ in range(200):
+            (origin if rng.random() < 0.5 else fork).add_clause(random_clause(rng, 4))
+        for view in (origin.view, fork.view):
+            seen = view.clause_tuples()
+            assert len(seen) == len(set(seen))
+        deadline = time.monotonic() + 5
+        while mirror.version < fork.view.version and time.monotonic() < deadline:
+            time.sleep(0.002)
+        # the fork's peers get every clause it holds once, in its order
+        assert mirror.clause_tuples() == fork.view.clause_tuples()
+    finally:
+        mirror.close()
 
 
-def test_attached_fork_superset_of_origin():
+def test_attached_fork_superset_of_origin(service):
     rng = random.Random(3)
-    store = CnfStore(4)
-    fork = store.fork(detach=False)
+    origin = service.create_memory(4)
+    fork = service.fork_memory(origin, detach=False)
     for _ in range(100):
-        clause = [
-            v if rng.random() < 0.5 else -v
-            for v in rng.sample(range(1, 5), rng.randint(1, 3))
-        ]
-        (store if rng.random() < 0.6 else fork).add_clause(clause)
-        assert set(store.clause_tuples()) <= set(fork.clause_tuples())
+        (origin if rng.random() < 0.6 else fork).add_clause(random_clause(rng, 4, 3))
+        assert set(origin.view.clause_tuples()) <= set(fork.view.clause_tuples())
 
 
-def test_version_counter_bumps_on_clause_adds():
+def test_version_counter_bumps_on_clause_adds(service):
     store = CnfStore(2)
-    v0 = store.version
+    assert store.version == 0
     store.add_clause([1])
-    assert store.version > v0
-    fork = store.fork(detach=False)
-    v1 = fork.version
+    store.add_clause([1])
+    assert store.version == 1  # the clause count
+    origin = service.create_memory(2)
+    origin.add_clause([1])
+    fork = service.fork_memory(origin, detach=False)
+    assert fork.view.version == 1
     fork.add_clause([2])
-    assert fork.version > v1
+    origin.add_clause([-1])
+    assert fork.view.version == 3

@@ -239,12 +239,19 @@ def test_export_learned_short_clauses():
 
 
 def test_export_learned_goes_to_own_view():
-    store = CnfStore(2)
-    store.add_clause([1, 2])
-    fork = store.fork(detach=False)
-    export_learned(fork, [-1, -2])
-    assert [-1, -2] in fork.clauses()
-    assert [-1, -2] not in store.clauses()
+    service = MemoryService()
+    try:
+        origin = service.create_memory(2)
+        origin.add_clause([1, 2])
+        fork = service.fork_memory(origin, detach=False)
+        mirror = connect(fork.direct_url)
+        export_learned(mirror, [-1, -2])
+        assert [-1, -2] in mirror.clauses()
+        mirror.close()  # returns once the hub has applied the clause
+        assert [-1, -2] in fork.view.clauses()
+        assert [-1, -2] not in origin.view.clauses()
+    finally:
+        service.shutdown()
 
 
 def test_learned_clause_length_gate(run_solvers):
@@ -294,7 +301,7 @@ def test_fold_in_reads_only_appended_clauses():
             super().__init__(n)
             self.reads = []
 
-        def clauses_since(self, cursor=()):
+        def clauses_since(self, cursor=0):
             fresh, cursor = super().clauses_since(cursor)
             self.reads.append(len(fresh))
             return fresh, cursor
@@ -326,7 +333,7 @@ def test_fold_in_over_a_mirror_reads_only_appended_clauses():
         reads = []
         since = mirror.clauses_since
 
-        def counted(cursor=()):
+        def counted(cursor=0):
             fresh, cursor = since(cursor)
             reads.append(len(fresh))
             return fresh, cursor

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import sathub.service
 from sathub import wire
 from sathub.client import LockTimeout, MemoryMirror, MirrorProtocolError, connect, parse_direct_url
 from sathub.cnf import ClauseRangeError
@@ -269,8 +270,9 @@ def test_double_lock_is_a_violation(service):
         mirror.close()
 
 
-def test_lock_force_release_after_timeout():
-    svc = MemoryService(lock_timeout=0.3)
+def test_lock_force_release_after_timeout(monkeypatch):
+    monkeypatch.setattr(sathub.service, "LOCK_TIMEOUT", 0.3)
+    svc = MemoryService()
     try:
         obj = svc.create_memory(0)
         holder = connect(obj.direct_url)
@@ -299,10 +301,11 @@ def test_disconnect_releases_lock(service):
 
 
 @pytest.mark.parametrize("let_go", ["unlock", "disconnect", "timeout"])
-def test_lock_blocks_raw_add_variable(let_go):
+def test_lock_blocks_raw_add_variable(let_go, monkeypatch):
     # the hub takes its variable lock for ADD_VARIABLE, so it queues behind LOCK_VARS
     timeout = 0.3 if let_go == "timeout" else 10.0
-    svc = MemoryService(lock_timeout=timeout)
+    monkeypatch.setattr(sathub.service, "LOCK_TIMEOUT", timeout)
+    svc = MemoryService()
     try:
         obj = svc.create_memory(0)
         holder = connect(obj.direct_url)
@@ -472,13 +475,63 @@ def test_origin_clause_shadowed_by_fork_local_not_rebroadcast(service):
         fork_mirror.add_clause_direct([1])
         assert wait_until(lambda: [1] in fork.view.clauses())
         origin.view.add_clause([1])
-        with origin.view.family_lock:
+        with origin.view.lock:
             origin._broadcast_clause((1,), exclude=None)
         time.sleep(0.1)
         # the fork mirror saw [1] exactly once (its own local add)
         assert fork_mirror.clauses().count([1]) == 1
     finally:
         fork_mirror.close()
+
+
+def test_deleted_fork_is_unlinked_from_its_parent(service):
+    origin = service.create_memory(2)
+    fork = service.fork_memory(origin, detach=False)
+    service.delete_memory(fork.object_id)
+    origin.add_clause([1])
+    origin.add_variables(1)
+    assert origin.children == []
+    assert fork.view.clauses() == [] and fork.view.var_count == 2
+
+
+def test_deleting_a_middle_fork_keeps_its_forks_fed(service):
+    origin = service.create_memory(2)
+    middle = service.fork_memory(origin, detach=False)
+    leaf = service.fork_memory(middle, detach=False)
+    leaf_mirror = connect(leaf.direct_url)
+    try:
+        service.delete_memory(middle.object_id)
+        assert origin.children == [leaf]
+        origin.add_clause([1])
+        assert origin.add_variables(1) == 3
+        assert wait_until(lambda: leaf_mirror.clauses() == [[1]] and leaf_mirror.var_count == 3)
+        assert leaf.view.clauses() == [[1]]
+    finally:
+        leaf_mirror.close()
+
+
+def test_forks_made_while_the_origin_grows_miss_no_clause(service):
+    origin = service.create_memory(3000)
+    clauses = [(v, -(v + 1)) for v in range(1, 3000)]
+
+    def write():
+        for i, clause in enumerate(clauses):
+            origin.add_clause(clause)
+            if i % 50 == 0:
+                time.sleep(0.001)  # let forks be made mid-stream
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    forks, sizes = [], []
+    while writer.is_alive() and len(forks) < 40:
+        # every third fork is a fork of the previous fork
+        parent = forks[-1] if forks and len(forks) % 3 == 0 else origin
+        forks.append(service.fork_memory(parent, detach=False))
+        sizes.append(forks[-1].view.version)
+    writer.join(timeout=10)
+    assert any(0 < size < len(clauses) for size in sizes)
+    for fork in forks:
+        assert fork.view.clause_tuples() == clauses
 
 
 # -- write path: lifetime, reservation order, close barrier -----------------------

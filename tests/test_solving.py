@@ -421,6 +421,43 @@ def test_first_sat_cancels_a_sibling_still_waiting_for_its_worker(monkeypatch):
     assert blocker["outcome"].result == "SAT"
 
 
+def test_first_sat_cancel_wakes_a_sibling_waiting_for_a_busy_worker(monkeypatch):
+    registry = SolverRegistry()
+    blocked, free = SolverWorker(registry), SolverWorker(registry)
+    group_returned = threading.Event()
+    # another web process holds the sibling's worker until the group has returned,
+    # or for 5 s, well inside the sibling's timeout
+    blocker_thread, blocker = start_solve(
+        blocked, held_store(), web_pid="other", on_decision=lambda d: group_returned.wait(5)
+    )
+    assert wait_for_state(blocked, "BUSY")
+
+    sibling_entered = threading.Event()
+    solve = SolverWorker.solve
+
+    def ordered_solve(worker, memory, **kwargs):
+        if worker is blocked:
+            sibling_entered.set()
+        else:
+            assert sibling_entered.wait(5)  # the winner starts after the sibling
+        return solve(worker, memory, **kwargs)
+
+    monkeypatch.setattr(SolverWorker, "solve", ordered_solve)
+    calls = [
+        SolveCall(memory=held_store(), solver_id=blocked.record.solver_id, timeout=20.0),
+        SolveCall(memory=make_store([[1]], 1), solver_id=free.record.solver_id),
+    ]
+    try:
+        sibling, winner = parallelize(registry, calls, first_sat_cancels=True, web_pid="parent")
+        assert winner.result == "SAT"
+        assert sibling.result == "UNKNOWN"
+        assert blocked.record.state == "BUSY"
+    finally:
+        group_returned.set()
+        blocker_thread.join(timeout=5)
+    assert blocker["outcome"].result == "SAT"
+
+
 def test_exported_learned_clauses_reach_peer_mirrors():
     service = MemoryService()
     try:
@@ -461,7 +498,7 @@ def test_single_instance_rule_under_contention():
         var_count = 1
         version = 0
 
-        def clauses_since(self, cursor=()):
+        def clauses_since(self, cursor=0):
             with lock:
                 active.append(1)
                 if len(active) > 1:
