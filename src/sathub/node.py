@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from .client import parse_direct_url
-from .service import MemoryService
+from .service import MemoryService, NoSuchMemory
 from .solving import (
     DiversificationSettings,
     NoSolverAvailable,
@@ -43,6 +43,14 @@ def _number(argument: dict, key: str, convert, default):
         return convert(value)
     except (TypeError, ValueError):
         raise MalformedArgument(f"{key} must be a number, got {value!r}") from None
+
+
+def _flag(argument: dict, key: str) -> bool:
+    """``argument[key]``, default false, if it is a JSON boolean; MalformedArgument if not."""
+    value = argument.get(key, False)
+    if not isinstance(value, bool):
+        raise MalformedArgument(f"{key}: must be a JSON boolean, got {value!r}")
+    return value
 
 
 def _diversification(argument: dict) -> DiversificationSettings:
@@ -145,7 +153,9 @@ class ServerNode:
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        if self._thread is not None:
+            # shutdown() waits for serve_forever, which never ran without start()
+            self._httpd.shutdown()
         self._httpd.server_close()
         self.memory.shutdown()
 
@@ -164,6 +174,8 @@ class ServerNode:
             argument = {}
         if not isinstance(method, str):
             return {"error": "MALFORMED_ENVELOPE: method must be a string"}
+        if not isinstance(object_ref, str):
+            return {"error": f"MALFORMED_ENVELOPE: objectRef: must be a string, got {object_ref!r}"}
         if not isinstance(argument, dict):
             return {"error": "MALFORMED_ENVELOPE: argument must be a JSON object"}
         try:
@@ -177,11 +189,14 @@ class ServerNode:
                 if method == "SatCnf.addVariable":
                     return {"index": obj.add_variables(1)}
                 if method == "SatCnf.addClause":
-                    return {"added": obj.add_clause(argument.get("clause") or [])}
+                    clause = argument.get("clause")
+                    if not isinstance(clause, list):
+                        raise MalformedArgument(f"clause: must be a list, got {clause!r}")
+                    return {"added": obj.add_clause(clause)}
                 if method == "SatCnf.clauses":
                     return {"clauses": obj.view.clauses()}
                 if method == "SatCnf.fork":
-                    child = self.memory.fork_memory(obj, bool(argument.get("detach", False)))
+                    child = self.memory.fork_memory(obj, _flag(argument, "detach"))
                     return {"forkId": child.object_id, "directUrl": child.direct_url}
                 if method == "SatCnf.delete":
                     self.memory.delete_memory(obj.object_id)
@@ -222,7 +237,7 @@ class ServerNode:
                 results = parallelize(
                     self.registry,
                     calls,
-                    first_sat_cancels=bool(argument.get("firstSatCancels", False)),
+                    first_sat_cancels=_flag(argument, "firstSatCancels"),
                     web_pid=web_pid,
                 )
                 return {"results": [r.as_json() for r in results]}
@@ -232,6 +247,8 @@ class ServerNode:
                 worker = self.registry.find_available(_number(argument, "timeout", float, 0.0))
                 return {"solverId": worker.record.solver_id}
             return {"error": "NO_SUCH_METHOD"}
+        except NoSuchMemory:
+            return {"error": "NO_SUCH_OBJECT"}
         except SolverBusy:
             return {"error": "BUSY"}
         except NoSolverAvailable:

@@ -7,14 +7,17 @@ variable additions from one peer are applied to the store and rebroadcast
 to all other peers; the originator is never echoed.
 
 A fork starts as a copy of its parent's store. The hub keeps an attached
-fork fed: every clause its parent newly stores, and every variable its
-family adds, is applied to the fork's store too and broadcast to its peers.
-An attached fork shares its parent's hub lock, so mutations and broadcast
-enqueues across the whole attached family happen in one global order. A
-detached fork shares nothing with its parent after the copy.
+fork fed: every clause its parent newly stores is applied to the fork's
+store too and broadcast to its peers. An origin or detached fork and the
+attached forks below it form one ``Family``: one hub lock, so mutations and
+broadcast enqueues across the family happen in one global order; one
+variable count, grown in every member's store; one variable lock. A
+detached fork shares nothing with its parent after the copy. A deleted
+memory leaves its family at once; the forks of a deleted origin keep
+sharing variables with each other.
 
 The variable lock guards variable-count changes only: variable additions
-from other connections queue FIFO behind the holder and are applied after
+from other connections wait FIFO behind the holder and are applied after
 the unlock (or after the ``LOCK_TIMEOUT`` force-release).
 """
 
@@ -93,69 +96,74 @@ class FrameWriter:
             self.sock.close()
 
 
-class LockManager:
-    """FIFO variable lock for one variable-counter owner."""
+class NoSuchMemory(LookupError):
+    """The memory was deleted: it forks nothing and takes no variables."""
 
-    def __init__(self) -> None:
-        self._cv = threading.Condition()
-        self._holder = None
-        self._tickets: deque = deque()
-        self._timer: Optional[threading.Timer] = None
 
-    def acquire(self, token) -> bool:
-        """Block FIFO until the lock is free; False if token already holds it."""
-        with self._cv:
-            if self._holder is token:
+class Family:
+    """An origin or detached fork and every attached fork below it.
+
+    The members share one hub lock (the first member's store lock), so
+    mutations and broadcast enqueues across the family happen in one global
+    order. They share one variable count, kept equal in every member's store.
+    They share one variable lock, which is plain state under the hub lock:
+    its holder (a connection that sent ``LOCK_VARS``), a FIFO of waiting
+    tickets and the timer that force-releases the holder.
+    """
+
+    def __init__(self, first: "MemoryObject") -> None:
+        self.lock = first.view.lock
+        self.members = [first]
+        self.holder: Optional[FrameWriter] = None
+        self.tickets: deque = deque()
+        self.turn = threading.Condition(self.lock)
+        self.timer: Optional[threading.Timer] = None
+
+    def wait_turn(self) -> None:
+        """Wait FIFO until the variable lock is free; caller holds the hub lock."""
+        ticket = object()
+        self.tickets.append(ticket)
+        while not (self.holder is None and self.tickets[0] is ticket):
+            self.turn.wait()
+        self.tickets.popleft()
+        self.turn.notify_all()
+
+    def lock_vars(self, conn: FrameWriter) -> None:
+        """Answer ``LOCK_VARS``: make ``conn`` the holder once it is its turn,
+        until it unlocks or ``LOCK_TIMEOUT`` passes."""
+        with self.lock:
+            if self.holder is conn:
+                conn.send(wire.encode_error(wire.ERR_LOCKED, "lock already held"))
+                return
+            self.wait_turn()
+            self.holder = conn
+            self.timer = threading.Timer(LOCK_TIMEOUT, self._expire, (conn,))
+            self.timer.daemon = True
+            self.timer.start()
+            conn.send(wire.encode_lock_granted())
+
+    def unlock_vars(self, conn: FrameWriter) -> bool:
+        """Release the variable lock; False if ``conn`` does not hold it."""
+        with self.lock:
+            if self.holder is not conn:
                 return False
-            if self._holder is None and not self._tickets:
-                self._holder = token
-                return True
-            ticket = object()
-            self._tickets.append(ticket)
-            while not (self._holder is None and self._tickets[0] is ticket):
-                self._cv.wait()
-            self._tickets.popleft()
-            self._holder = token
-            self._cv.notify_all()
-            return True
+            self.holder = None
+            self.timer.cancel()
+            self.timer = None  # the timer refers to this family
+            self.turn.notify_all()
+        return True
 
-    def release(self, token) -> bool:
-        with self._cv:
-            if self._holder is not token:
-                return False
-            self._holder = None
-            self._cancel_timer()
-            self._cv.notify_all()
-            return True
-
-    def arm_force_release(self, token, on_expire) -> None:
-        """Schedule force-release of an explicit lock after ``LOCK_TIMEOUT``."""
-        def fire() -> None:
-            with self._cv:
-                if self._holder is not token:
-                    return
-                self._holder = None
-                self._cv.notify_all()
-            on_expire()
-
-        with self._cv:
-            self._cancel_timer()
-            self._timer = threading.Timer(LOCK_TIMEOUT, fire)
-            self._timer.daemon = True
-            self._timer.start()
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+    def _expire(self, conn: FrameWriter) -> None:
+        if self.unlock_vars(conn):
+            conn.send(wire.encode_error(wire.ERR_LOCKED, "lock force-released after timeout"))
 
 
 class MemoryObject:
     """One addressable SAT memory: a store, its peers, and the attached forks it feeds.
 
-    An object without a ``parent`` (an origin, or a detached fork) owns its
-    variables, its hub lock (its store's lock) and its variable lock; an
-    attached fork shares all three with its parent.
+    An origin or a detached fork starts a ``Family``; an attached fork joins
+    its parent's. A deleted memory leaves its family and hands its attached
+    forks to its parent, if it has one.
     """
 
     def __init__(self, service: "MemoryService", view: CnfStore, parent: Optional["MemoryObject"] = None) -> None:
@@ -164,15 +172,13 @@ class MemoryObject:
         self.parent = parent
         self.children: list[MemoryObject] = []
         self.peers: list[FrameWriter] = []
-        self.closed = False
         if parent is None:
-            self.var_owner = self
-            self.lock = view.lock
-            self.lock_mgr = LockManager()
+            self.family = Family(self)
         else:
-            self.var_owner = parent.var_owner
-            self.lock = parent.lock
-            self.lock_mgr = parent.lock_mgr
+            # the caller holds the family lock
+            self.family = parent.family
+            self.family.members.append(self)
+            parent.children.append(self)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((service.host, 0))
@@ -198,7 +204,7 @@ class MemoryObject:
         return wire.encode_snapshot(self.view.var_count, self.view.iter_clauses())
 
     def _serve_connection(self, conn: FrameWriter) -> None:
-        with self.lock:
+        with self.family.lock:
             conn.send(self._snapshot_frame())
             self.peers.append(conn)
         stream = conn.sock.makefile("rb")
@@ -214,10 +220,10 @@ class MemoryObject:
                 if not self._dispatch(conn, opcode, payload):
                     return
         finally:
-            with self.lock:
+            with self.family.lock:
                 if conn in self.peers:
                     self.peers.remove(conn)
-            self.lock_mgr.release(conn)
+            self.family.unlock_vars(conn)
             conn.close()
             stream.close()
 
@@ -238,29 +244,23 @@ class MemoryObject:
                 conn.send(wire.encode_error(wire.ERR_OUT_OF_RANGE, f"bad variable count {n}"))
                 return True
             reply = wire.encode_var_index if opcode == wire.ADD_VARIABLE else wire.encode_first_index
-            self.add_variables(n, origin=conn, reply=reply)
+            try:
+                self.add_variables(n, origin=conn, reply=reply)
+            except NoSuchMemory:
+                return False
             return True
 
         if opcode == wire.LOCK_VARS:
-            if not self.lock_mgr.acquire(conn):
-                conn.send(wire.encode_error(wire.ERR_LOCKED, "lock already held"))
-                return True
-            self.lock_mgr.arm_force_release(
-                conn,
-                lambda: conn.send(
-                    wire.encode_error(wire.ERR_LOCKED, "lock force-released after timeout")
-                ),
-            )
-            conn.send(wire.encode_lock_granted())
+            self.family.lock_vars(conn)
             return True
 
         if opcode == wire.UNLOCK_VARS:
-            if not self.lock_mgr.release(conn):
+            if not self.family.unlock_vars(conn):
                 conn.send(wire.encode_error(wire.ERR_LOCKED, "not the lock holder"))
             return True
 
         if opcode == wire.SNAPSHOT_REQUEST:
-            with self.lock:
+            with self.family.lock:
                 conn.send(self._snapshot_frame())
             return True
 
@@ -275,29 +275,34 @@ class MemoryObject:
         Raises ``ClauseRangeError`` out of range, ``ValueError`` if malformed.
         """
         clause = canonical_clause(literals)
-        with self.lock:
+        with self.family.lock:
             added = self.view._add_canonical(clause)
             if added:
                 self._broadcast_clause(clause, exclude=origin)
         return added
 
     def add_variables(self, n: int, origin: Optional[FrameWriter] = None, reply=None) -> int:
-        """Add ``n`` variables under the variable lock and broadcast them; returns the first.
+        """Add ``n`` variables to every store of the family and broadcast them; returns the first.
 
-        The lock is taken for this call unless ``origin`` already holds it.
-        The frame ``reply(first)`` is queued to ``origin`` in the same
-        hub-lock section as the broadcast, so it keeps its global order.
+        Waits FIFO behind the variable lock's holder unless ``origin`` holds it.
+        The frame ``reply(first)`` is queued to ``origin`` in the same hub-lock
+        section as the broadcast, so it keeps its global order.
         """
-        token = origin or object()
-        acquired = self.lock_mgr.acquire(token)  # False: origin already holds it
-        try:
-            with self.lock:
-                first = self.var_owner._grow(n, exclude=origin)
-                if reply is not None:
-                    origin.send(reply(first))
-        finally:
-            if acquired:
-                self.lock_mgr.release(token)
+        family = self.family
+        with family.lock:
+            if origin is None or family.holder is not origin:
+                family.wait_turn()
+            if self not in family.members:
+                raise NoSuchMemory(self.object_id)
+            first = self.view.var_count + 1
+            data = wire.encode_add_vars(n)
+            for member in family.members:
+                member.view.add_variables(n)
+                for peer in member.peers:
+                    if peer is not origin:
+                        peer.send(data)
+            if reply is not None:
+                origin.send(reply(first))
         return first
 
     def _broadcast_clause(
@@ -316,36 +321,25 @@ class MemoryObject:
             if child.view._add_canonical(clause):
                 child._broadcast_clause(clause, exclude, data)
 
-    def _grow(self, n: int, exclude: Optional[FrameWriter]) -> int:
-        """Add ``n`` variables to this store and every attached fork below it,
-        broadcast them, and return the first; caller holds the lock."""
-        first = self.view.add_variables(n)
-        data = wire.encode_add_vars(n)
-        for peer in self.peers:
-            if peer is not exclude:
-                peer.send(data)
-        for child in self.children:
-            child._grow(n, exclude)
-        return first
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        self.closed = True
         try:
             # wakes _accept_loop, which would otherwise pin this object forever
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._listener.close()
-        with self.lock:
+        with self.family.lock:
+            self.family.members.remove(self)
             peers, self.peers = self.peers, []
+            children, self.children = self.children, []
+            # the parent, if any, feeds this memory's attached forks from now on
+            for child in children:
+                child.parent = self.parent
             if self.parent is not None:
-                # the parent feeds this fork's attached forks from now on
                 self.parent.children.remove(self)
-                self.parent.children.extend(self.children)
-                for child in self.children:
-                    child.parent = self.parent
+                self.parent.children.extend(children)
         for peer in peers:
             peer.close()
 
@@ -370,13 +364,14 @@ class MemoryService:
 
     def fork_memory(self, obj: MemoryObject, detach: bool) -> MemoryObject:
         """A new memory holding a copy of ``obj``'s store; unless ``detach``,
-        ``obj`` feeds it every later clause and variable."""
-        with obj.lock:
+        ``obj`` feeds it every later clause and its family every variable.
+        Raises ``NoSuchMemory`` once ``obj`` is deleted."""
+        with obj.family.lock:
+            if obj not in obj.family.members:
+                raise NoSuchMemory(obj.object_id)
             store = CnfStore(obj.view.var_count)
             store._extend_canonical(obj.view.clause_tuples())
             child = MemoryObject(self, store, parent=None if detach else obj)
-            if not detach:
-                obj.children.append(child)
         with self._lock:
             self._objects[child.object_id] = child
         return child

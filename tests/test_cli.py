@@ -1,3 +1,4 @@
+import gc
 import threading
 import time
 
@@ -9,6 +10,7 @@ from sathub.cnf import CnfStore
 from sathub.dimacs import loads
 from sathub.node import ServerNode
 from sathub.rpc import web_call
+from sathub.service import MemoryObject
 
 
 @pytest.fixture
@@ -129,6 +131,30 @@ def test_factor_releases_memory(node):
     main(["factor", "15", "--l", "4", "--endpoint", node.endpoint])
     # the instance created for the factoring job was deleted afterwards
     assert node.memory._objects == {}
+
+
+def test_factor_runs_leave_no_memory_for_the_cyclic_collector(node):
+    def alive():
+        # no closure over the object list: list and cell would form a cycle
+        # that keeps every listed object alive while the collector is off
+        counts = {"MemoryObject": 0, "CnfStore": 0}
+        for o in gc.get_objects():
+            if isinstance(o, (MemoryObject, CnfStore)):
+                counts[type(o).__name__] += 1
+        return counts
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        for product in ("15", "21", "35", "23"):
+            main(["factor", product, "--l", "4", "--endpoint", node.endpoint])
+        deadline = time.monotonic() + 5
+        while alive() != before and time.monotonic() < deadline:
+            time.sleep(0.05)  # connection threads of deleted memories are ending
+        assert alive() == before
+    finally:
+        gc.enable()
 
 
 def test_factor_deletes_its_memory_when_no_solver_is_free(hold, capsys):

@@ -189,6 +189,14 @@ def test_transport_error_when_down():
         web_call(endpoint, "Kernel.listSolvers", timeout=2)
 
 
+def test_stop_without_start_returns():
+    node = ServerNode(workers=1)
+    stopper = threading.Thread(target=node.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
+
+
 def post_envelope(node, envelope):
     request = urllib.request.Request(
         node.endpoint + "/webcall",
@@ -259,6 +267,8 @@ def test_malformed_envelope(node):
         {"method": "SatCnf.create", "argument": "initialVariableCount"},
         {"method": "Kernel.listSolvers", "argument": []},
         ["Kernel.listSolvers"],
+        {"method": "SatCnf.clauses", "objectRef": ["ref"]},
+        {"method": "SatSolver.cancel", "objectRef": {"ref": 1}},
     ]
     for envelope in envelopes:
         reply = post_envelope(node, envelope)
@@ -358,7 +368,8 @@ BAD_MEMORY_URLS = [
         ("Kernel.parallelize", {"calls": [{"diversification": {"size": "z"}}]}),
         ("Kernel.parallelize", {"calls": [{}, {"diversification": [1]}]}),
     ]
-    + BAD_MEMORY_URLS,
+    + BAD_MEMORY_URLS
+    + [("Kernel.parallelize", {"calls": [], "firstSatCancels": "false"})],
 )
 def test_bad_argument_answers_malformed_envelope(node, method, argument):
     solver_id = call(node, "Kernel.listSolvers")["solvers"][0]["solverId"]
@@ -369,6 +380,26 @@ def test_bad_argument_answers_malformed_envelope(node, method, argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: diversification: "), reply
     if (method, argument) in BAD_MEMORY_URLS:
         assert reply["error"].startswith("MALFORMED_ENVELOPE: satMemoryUrl: "), reply
+
+
+@pytest.mark.parametrize(
+    "method, argument",
+    [
+        ("SatCnf.addClause", {"clause": 5}),
+        ("SatCnf.addClause", {"clause": "1 2"}),
+        ("SatCnf.addClause", {}),
+        ("SatCnf.fork", {"detach": "false"}),
+        ("SatCnf.fork", {"detach": 1}),
+    ],
+)
+def test_bad_memory_argument_answers_malformed_envelope(node, method, argument):
+    ref = call(node, "SatCnf.create", {"initialVariableCount": 2})["objectRef"]
+    reply = call(node, method, argument, object_ref=ref)
+    name = "clause" if method == "SatCnf.addClause" else "detach"
+    assert list(reply) == ["error"]
+    assert reply["error"].startswith(f"MALFORMED_ENVELOPE: {name}: "), reply
+    assert list(node.memory._objects) == [ref]
+    assert call(node, "SatCnf.clauses", object_ref=ref) == {"clauses": []}
 
 
 def test_unreachable_memory_url_answers_unknown(node):

@@ -1,6 +1,8 @@
+import gc
 import socket
 import threading
 import time
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +12,7 @@ from sathub import wire
 from sathub.client import LockTimeout, MemoryMirror, MirrorProtocolError, connect, parse_direct_url
 from sathub.cnf import ClauseRangeError
 from sathub.node import ServerNode
-from sathub.service import MemoryService
+from sathub.service import MemoryService, NoSuchMemory
 
 
 @pytest.fixture
@@ -508,6 +510,46 @@ def test_deleting_a_middle_fork_keeps_its_forks_fed(service):
         assert leaf.view.clauses() == [[1]]
     finally:
         leaf_mirror.close()
+
+
+def test_a_deleted_memory_forks_nothing_and_takes_no_variables(service, monkeypatch):
+    origin = service.create_memory(2)
+    fork = service.fork_memory(origin, detach=False)
+    service.delete_memory(origin.object_id)
+    assert origin.children == []
+    with pytest.raises(NoSuchMemory):
+        service.fork_memory(origin, detach=False)
+    with pytest.raises(NoSuchMemory):
+        origin.add_variables(1)
+    assert list(service._objects) == [fork.object_id]
+    # a web call that looked the memory up before it was deleted
+    monkeypatch.setattr(service, "get", lambda object_id: origin)
+    for method in ("SatCnf.fork", "SatCnf.addVariable"):
+        assert call(service, method, origin.object_id) == {"error": "NO_SUCH_OBJECT"}
+    assert list(service._objects) == [fork.object_id]
+    assert origin.view.var_count == fork.view.var_count == 2
+
+
+def test_forks_of_a_deleted_origin_keep_sharing_variables(service):
+    origin = service.create_memory(2)
+    a = service.fork_memory(origin, detach=False)
+    b = service.fork_memory(origin, detach=False)
+    a_mirror = connect(a.direct_url)
+    b_mirror = connect(b.direct_url)
+    deleted_store = origin.view
+    gone = weakref.ref(origin)
+    gc.disable()  # the origin must be freed by reference counting alone
+    try:
+        service.delete_memory(origin.object_id)
+        del origin
+        assert a_mirror.reserve_variables(3) == 3
+        assert b.view.var_count == 5
+        assert wait_until(lambda: b_mirror.var_count == 5)
+        assert deleted_store.var_count == 2
+        assert wait_until(lambda: gone() is None)
+    finally:
+        gc.enable()
+        a_mirror.close(); b_mirror.close()
 
 
 def test_forks_made_while_the_origin_grows_miss_no_clause(service):
