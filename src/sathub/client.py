@@ -46,11 +46,16 @@ def parse_direct_url(url: str) -> tuple[str, int]:
 
 
 def connect(direct_url: str, timeout: float = 5.0) -> "MemoryMirror":
-    """Open a mirror of the memory at ``direct_url`` (snapshot applied)."""
+    """Open a mirror of the memory at ``direct_url`` (snapshot applied).
+
+    ``timeout`` bounds the connect and each read of the snapshot; the socket
+    blocks without a timeout only once the snapshot is applied. A peer that
+    sends no valid snapshot raises ``OSError``: ``TimeoutError``, or
+    ``MirrorProtocolError`` for a truncated, misplaced or out-of-range one.
+    """
     host, port = parse_direct_url(direct_url)
     sock = socket.create_connection((host, port), timeout=timeout)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    sock.settimeout(None)
     return MemoryMirror(sock, direct_url)
 
 
@@ -62,10 +67,25 @@ def _snapshot_in_range(var_count: int, clauses: list[list[int]]) -> bool:
     return not lits or (min(lits) >= -var_count and max(lits) <= var_count)
 
 
+def _read_snapshot(stream) -> tuple[int, list[list[int]]]:
+    """The variable count and clauses of the SNAPSHOT frame that opens a stream."""
+    try:
+        opcode, payload = wire.read_message(stream)
+    except wire.MalformedFrame as exc:
+        raise MirrorProtocolError(f"bad snapshot: {exc}") from None
+    if opcode != wire.SNAPSHOT:
+        raise MirrorProtocolError(f"expected snapshot on connect, got opcode {opcode}")
+    if not _snapshot_in_range(*payload):
+        raise MirrorProtocolError("snapshot holds an empty clause or a literal out of range")
+    return payload
+
+
 class MemoryMirror:
     """Local replica of a remote SAT memory plus its direct-protocol channel."""
 
     def __init__(self, sock: socket.socket, direct_url: str) -> None:
+        """Apply the snapshot that ``sock`` opens with, within the socket's
+        timeout, then mirror its stream; on any failure, close it and raise."""
         self.direct_url = direct_url
         self.alive = True
         self._sock = sock
@@ -74,14 +94,13 @@ class MemoryMirror:
         self._responses: queue.Queue = queue.Queue()
         self._reserving: deque = deque()  # sizes of reservations awaiting their index
 
-        opcode, payload = wire.read_message(self._stream)
-        if opcode != wire.SNAPSHOT:
-            raise MirrorProtocolError(f"expected snapshot on connect, got opcode {opcode}")
-        var_count, clauses = payload
-        if not _snapshot_in_range(var_count, clauses):
+        try:
+            var_count, clauses = _read_snapshot(self._stream)
+        except BaseException:
             self._stream.close()
             sock.close()
-            raise MirrorProtocolError("snapshot holds an empty clause or a literal out of range")
+            raise
+        sock.settimeout(None)
         self.store = CnfStore(var_count)
         # the hub's clauses are already canonical and distinct
         self.store._extend_canonical([tuple(c) for c in clauses])

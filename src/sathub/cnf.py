@@ -7,7 +7,8 @@ from typing import Iterable, Iterator, Sequence
 
 
 class ClauseRangeError(ValueError):
-    """A literal references a variable outside the visible range."""
+    """A literal references a variable outside the visible range, or a
+    variable count would pass ``wire.MAX_VARIABLE``."""
 
 
 def canonical_clause(literals: Iterable[int]) -> tuple[int, ...]:

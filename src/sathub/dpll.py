@@ -13,8 +13,9 @@ value it held last (phase saving), or before that the diversification
 phases map (default false). There are no restarts, no activity heuristic
 and no clause deletion, so ``DpllSolver.learned`` holds every learned
 clause in derivation order: with the input clauses, a clausal proof of an
-UNSAT answer. Control flags and clause fold-in from live memory views are
-checked at decision boundaries only.
+UNSAT answer. Control flags and new clauses from live memory views are
+checked at decision boundaries only; ``load`` is the one way canonical
+clauses enter a solver, before or during a search.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ EXPORT_MAX_LEN = 2
 
 
 class SolveControl:
-    """Pause/resume/cancel signals observed by a running search."""
+    """Pause/resume/cancel signals observed by a running search; each one
+    notifies ``cv`` (a solver worker's, or a fresh condition)."""
 
-    def __init__(self) -> None:
-        self._cv = threading.Condition()
+    def __init__(self, cv: Optional[threading.Condition] = None) -> None:
+        self._cv = cv or threading.Condition()
         self._paused = False
         self._cancelled = False
 
@@ -100,8 +102,7 @@ class DpllSolver:
         self.phases: dict[int, bool] = {}
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
-        self.lim_cursor: list[int] = []  # decision cursor as each level opened
-        self.cursor = 1
+        self.cursor = 1  # every variable below it is assigned
         self.qhead = 0
         self.empty_clause = False
         self.learnts: list[list[int]] = []  # learned clauses, in derivation order
@@ -133,10 +134,11 @@ class DpllSolver:
             self._add_level0(codes)
 
     def load(self, clauses: Iterable[Sequence[int]]) -> None:
-        """``add_clause`` for canonical clauses over variables already ensured."""
-        add = self._add_level0
+        """Attach canonical clauses over variables already ensured, at level 0 or
+        mid-search; a tautology is watched, and never propagates."""
+        attach = self._attach
         for clause in clauses:
-            add([lit << 1 if lit > 0 else (-lit << 1) | 1 for lit in clause])
+            attach([lit << 1 if lit > 0 else (-lit << 1) | 1 for lit in clause])
 
     def _clean(self, literals: Iterable[int]) -> Optional[list[int]]:
         """Distinct codes of a clause with its variables ensured; None for a tautology."""
@@ -180,15 +182,17 @@ class DpllSolver:
             codes[:] = free + [code for code in codes if vals[code] is False]
             self._watch(codes)
 
-    def _attach_live(self, codes: list[int]) -> bool:
-        """Watch a clause mid-search; False if it needs the search rewound to level 0."""
-        vals = self.vals
-        free = [code for code in codes if vals[code] is not False]
-        if len(free) < 2:
-            return False
-        codes[:] = free + [code for code in codes if vals[code] is False]
-        self._watch(codes)
-        return True
+    def _attach(self, codes: list[int]) -> None:
+        """Watch a clause mid-search if two of its literals are not false;
+        otherwise rewind to level 0 and attach it there."""
+        if self.trail_lim:
+            vals = self.vals
+            free = [code for code in codes if vals[code] is not False]
+            if len(free) > 1:
+                self._watch(free + [code for code in codes if vals[code] is False])
+                return
+            self._backjump(0)
+        self._add_level0(codes)
 
     def _propagate(self) -> Optional[list[int]]:
         """Unit propagation over the watches; returns a falsified clause or None."""
@@ -292,30 +296,15 @@ class DpllSolver:
         vals = self.vals
         phase = self.phase
         mark = self.trail_lim[depth]
-        for code in self.trail[mark:]:
+        undone = self.trail[mark:]
+        for code in undone:
             vals[code] = vals[code ^ 1] = None
             phase[code >> 1] = code & 1
         del self.trail[mark:]
         del self.trail_lim[depth:]
-        self.cursor = self.lim_cursor[depth]
-        del self.lim_cursor[depth:]
+        if undone:  # the lowest variable undone is now the lowest unassigned one
+            self.cursor = min(self.cursor, min(undone) >> 1)
         self.qhead = mark
-
-    def _open_level(self) -> None:
-        self.trail_lim.append(len(self.trail))
-        self.lim_cursor.append(self.cursor)
-
-    def _fold_in(self, clauses: list) -> None:
-        """Attach clauses that appeared on the live view mid-search."""
-        for clause in clauses:
-            codes = self._clean(clause)
-            if codes is None:
-                continue
-            if self.trail_lim:
-                if codes and self._attach_live(codes):
-                    continue
-                self._backjump(0)
-            self._add_level0(codes)
 
     def solve(
         self,
@@ -356,18 +345,18 @@ class DpllSolver:
                         self._assign(learnt[0], None)
                     continue
 
-                # decision boundary: live-view fold-in, hook, control signals
+                # decision boundary: new clauses from the view, hook, control signals
                 if poll_clauses is not None:
                     fresh = poll_clauses()
                     if fresh:
-                        self._fold_in(fresh)
+                        self.load(fresh)
                         if self.qhead < len(self.trail) or self.empty_clause:
                             continue
                 if len(trail_lim) < len(assumed):
                     code = assumed[len(trail_lim)]
                     if vals[code] is False:
                         return SolveOutcome(UNSAT)
-                    self._open_level()  # empty if the assumption already holds
+                    trail_lim.append(len(self.trail))  # empty if the assumption already holds
                     if vals[code] is None:
                         self._assign(code, None)
                     continue
@@ -384,7 +373,7 @@ class DpllSolver:
                     on_decision(decisions)
                 if _halted(control):
                     return SolveOutcome(UNKNOWN)
-                self._open_level()
+                trail_lim.append(len(self.trail))
                 self._assign((var << 1) | self.phase[var], None)
         finally:
             self._backjump(0)  # level-0 assignments persist: they are forced
@@ -405,27 +394,27 @@ def run(
 ) -> SolveOutcome:
     """Solve the CNF visible through ``view`` (a store or a memory mirror).
 
-    Returns SAT with a full model, UNSAT, or UNKNOWN after a cancel. New
-    clauses appearing on the view during the search are folded in at decision
-    boundaries; with ``export`` enabled, learned clauses of at most
-    ``EXPORT_MAX_LEN`` literals are pushed back to the view. A SAT model is
-    checked against every clause taken from the view before it is returned.
+    Returns SAT with a full model, UNSAT, or UNKNOWN after a cancel or with
+    ``MEMORY_UNAVAILABLE`` once the view is lost. At each decision boundary
+    the solver loads the clauses appended since a clause-count cursor; the
+    first read, from 0, is the snapshot. With ``export`` enabled, learned
+    clauses of at most ``EXPORT_MAX_LEN`` literals are pushed back to the
+    view. A SAT model is checked against every clause taken before it is
+    returned.
     """
     settings = settings or DiversificationSettings()
-    version = view.version
-    taken, cursor = view.clauses_since()
     solver = DpllSolver(view.var_count)
+    taken: list[tuple[int, ...]] = []
+    cursor = 0
 
     def poll_live() -> list:
-        nonlocal version, cursor
+        nonlocal cursor
         if getattr(view, "alive", True) is False:
             raise ConnectionError("memory view lost")
-        if view.version == version:
-            return []
-        version = view.version
         fresh, cursor = view.clauses_since(cursor)
-        solver.ensure_vars(view.var_count)
-        taken.extend(fresh)
+        if fresh:
+            solver.ensure_vars(view.var_count)
+            taken.extend(fresh)
         return fresh
 
     exporter = None
@@ -434,7 +423,6 @@ def run(
             export_learned(view, clause)
 
     try:
-        solver.load(taken)
         outcome = solver.solve(
             phases=settings.phases or {},
             control=control,

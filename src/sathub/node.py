@@ -8,6 +8,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
+from . import wire
 from .client import parse_direct_url
 from .service import MemoryService, NoSuchMemory
 from .solving import (
@@ -180,7 +181,12 @@ class ServerNode:
             return {"error": "MALFORMED_ENVELOPE: argument must be a JSON object"}
         try:
             if method == "SatCnf.create":
-                obj = self.memory.create_memory(_number(argument, "initialVariableCount", int, 0))
+                count = _number(argument, "initialVariableCount", int, 0)
+                if not 0 <= count <= wire.MAX_VARIABLE:
+                    raise MalformedArgument(
+                        f"initialVariableCount: must be in 0..{wire.MAX_VARIABLE}, got {count}"
+                    )
+                obj = self.memory.create_memory(count)
                 return {"objectRef": obj.object_id, "directUrl": obj.direct_url}
             if method.startswith("SatCnf."):
                 obj = self.memory.get(object_ref)

@@ -248,6 +248,10 @@ class MemoryObject:
                 self.add_variables(n, origin=conn, reply=reply)
             except NoSuchMemory:
                 return False
+            except ClauseRangeError as exc:
+                # the mirror cannot pair an error with its pending reservation
+                conn.send(wire.encode_error(wire.ERR_OUT_OF_RANGE, str(exc)))
+                return False
             return True
 
         if opcode == wire.LOCK_VARS:
@@ -286,7 +290,8 @@ class MemoryObject:
 
         Waits FIFO behind the variable lock's holder unless ``origin`` holds it.
         The frame ``reply(first)`` is queued to ``origin`` in the same hub-lock
-        section as the broadcast, so it keeps its global order.
+        section as the broadcast, so it keeps its global order. Raises
+        ``ClauseRangeError``, adding nothing, past ``wire.MAX_VARIABLE``.
         """
         family = self.family
         with family.lock:
@@ -294,7 +299,12 @@ class MemoryObject:
                 family.wait_turn()
             if self not in family.members:
                 raise NoSuchMemory(self.object_id)
-            first = self.view.var_count + 1
+            count = self.view.var_count
+            if count + n > wire.MAX_VARIABLE:
+                raise ClauseRangeError(
+                    f"{n} more variables pass the bound {wire.MAX_VARIABLE} (var count {count})"
+                )
+            first = count + 1
             data = wire.encode_add_vars(n)
             for member in family.members:
                 member.view.add_variables(n)

@@ -112,7 +112,8 @@ class SolverRecord:
 
 
 class SolverRegistry:
-    """Root-memory analog: the set of registered solver workers, by registration order."""
+    """Root-memory analog: the set of registered solver workers, by registration
+    order. Its condition is every registered worker's too."""
 
     def __init__(self) -> None:
         self._cv = threading.Condition()
@@ -149,10 +150,6 @@ class SolverRegistry:
                     raise NoSolverAvailable("no IDLE solver within timeout")
                 self._cv.wait(remaining)
 
-    def _state_changed(self) -> None:
-        with self._cv:
-            self._cv.notify_all()
-
 
 class SolverWorker:
     """Hosts one reference solver and enforces the one-instance-at-a-time rule."""
@@ -166,9 +163,8 @@ class SolverWorker:
         self.record = SolverRecord(
             solver_id=uuid.uuid4().hex, solver_type="ReferenceDpll", endpoint=endpoint
         )
-        self.registry = registry
         self.export = export
-        self._cv = threading.Condition()
+        self._cv = registry._cv if registry is not None else threading.Condition()
         self._control = None
         if registry is not None:
             registry.register(self)
@@ -176,8 +172,6 @@ class SolverWorker:
     def _set_state(self, state: str) -> None:
         self.record.state = state
         self._cv.notify_all()
-        if self.registry is not None:
-            self.registry._state_changed()
 
     def solve(
         self,
@@ -198,7 +192,7 @@ class SolverWorker:
         """
         from . import dpll  # deferred: dpll depends on this module's types
 
-        control = control or dpll.SolveControl()
+        control = control or dpll.SolveControl(self._cv)
         with self._cv:
             end = time.monotonic() + max(0.0, timeout)
             while self.record.state != IDLE and not control.cancelled:
@@ -302,7 +296,8 @@ def parallelize(
         registry.get(call.solver_id) if call.solver_id is not None else next(pool, None)
         for call in calls
     ]
-    controls = [dpll.SolveControl() for _ in calls]
+    # on the registry's condition, so a cancel wakes a sibling waiting for its worker
+    controls = [dpll.SolveControl(registry._cv) for _ in calls]
     results: list[Optional[SolveOutcome]] = [None] * len(calls)
 
     def run_child(slot: int) -> None:
@@ -328,11 +323,6 @@ def parallelize(
             for other, control in enumerate(controls):
                 if other != slot:
                     control.cancel()
-            # wake siblings still waiting for a worker, so they see their cancel
-            for worker in assigned:
-                if worker is not None:
-                    with worker._cv:
-                        worker._cv.notify_all()
 
     threads = [
         threading.Thread(target=run_child, args=(slot,), daemon=True) for slot in range(len(calls))

@@ -42,6 +42,9 @@ ERR_OUT_OF_RANGE = 3
 
 _MAX_COUNT = 1 << 24  # sanity cap on wire-declared element counts
 
+# The largest variable an i32 literal can name; a memory never counts more.
+MAX_VARIABLE = 2**31 - 1
+
 
 class MalformedFrame(ValueError):
     """Frame violates the protocol layout."""

@@ -353,3 +353,38 @@ def test_fold_in_over_a_mirror_reads_only_appended_clauses():
         assert sum(reads[1:]) == 1
     finally:
         service.shutdown()
+
+
+def test_each_decision_takes_the_lowest_unassigned_variable(run_solvers):
+    # clauses added at the first decisions rewind the search (a unit always
+    # does); the decision cursor must still name the lowest unassigned variable
+    rng = random.Random(13)
+
+    def random_clause(n, width):
+        return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), width)]
+
+    for _ in range(300):
+        n = rng.randint(3, 14)
+        store = make_store([random_clause(n, 3) for _ in range(rng.randint(1, 4 * n))], n)
+        extra = {k: [random_clause(n, rng.randint(1, 3)) for _ in range(2)] for k in (1, 2, 3)}
+
+        def hook(k):
+            solver = run_solvers[-1]
+            cursor = solver.cursor
+            assert solver.vals[cursor << 1] is None
+            assert all(solver.vals[var << 1] is not None for var in range(1, cursor))
+            for clause in extra.get(k, ()):
+                store.add_clause(clause)
+
+        outcome = run(store, on_decision=hook)
+        assert outcome.result in ("SAT", "UNSAT")
+        assert (outcome.result == "SAT") == cnf_satisfiable(store.clause_tuples(), n)
+        if outcome.result == "SAT":
+            assert store.evaluate(outcome.model)
+
+
+def test_a_view_lost_before_the_first_poll_answers_memory_unavailable():
+    store = make_store([[1, 2]], 2)
+    store.alive = False
+    outcome = run(store)
+    assert (outcome.result, outcome.error) == ("UNKNOWN", "MEMORY_UNAVAILABLE")

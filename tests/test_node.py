@@ -369,7 +369,11 @@ BAD_MEMORY_URLS = [
         ("Kernel.parallelize", {"calls": [{}, {"diversification": [1]}]}),
     ]
     + BAD_MEMORY_URLS
-    + [("Kernel.parallelize", {"calls": [], "firstSatCancels": "false"})],
+    + [
+        ("Kernel.parallelize", {"calls": [], "firstSatCancels": "false"}),
+        ("SatCnf.create", {"initialVariableCount": 2**33}),
+        ("SatCnf.create", {"initialVariableCount": -1}),
+    ],
 )
 def test_bad_argument_answers_malformed_envelope(node, method, argument):
     solver_id = call(node, "Kernel.listSolvers")["solvers"][0]["solverId"]
@@ -380,6 +384,8 @@ def test_bad_argument_answers_malformed_envelope(node, method, argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: diversification: "), reply
     if (method, argument) in BAD_MEMORY_URLS:
         assert reply["error"].startswith("MALFORMED_ENVELOPE: satMemoryUrl: "), reply
+    if method == "SatCnf.create" and isinstance(argument["initialVariableCount"], int):
+        assert reply["error"].startswith("MALFORMED_ENVELOPE: initialVariableCount: "), reply
 
 
 @pytest.mark.parametrize(

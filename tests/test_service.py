@@ -13,6 +13,7 @@ from sathub.client import LockTimeout, MemoryMirror, MirrorProtocolError, connec
 from sathub.cnf import ClauseRangeError
 from sathub.node import ServerNode
 from sathub.service import MemoryService, NoSuchMemory
+from sathub.solving import SolverWorker
 
 
 @pytest.fixture
@@ -140,6 +141,69 @@ def test_malformed_snapshot_is_refused(clauses):
             MemoryMirror(sock, "tcp://127.0.0.1:0")
     finally:
         hub.close(); sock.close()
+
+
+def test_connect_to_a_silent_peer_times_out():
+    listener = socket.create_server(("127.0.0.1", 0))
+    url = f"tcp://127.0.0.1:{listener.getsockname()[1]}"
+    raised = []
+
+    def attempt():
+        try:
+            connect(url, timeout=0.3).close()
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=attempt, daemon=True)
+    thread.start()
+    accepted, _ = listener.accept()  # and never sends a byte
+    try:
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "connect still waits for the snapshot"
+        assert len(raised) == 1 and isinstance(raised[0], OSError), raised
+    finally:
+        accepted.close()
+        listener.close()
+        thread.join(timeout=5)
+
+
+BAD_SNAPSHOTS = {
+    "truncated": wire.encode_snapshot(3, [[1, -2], [3]])[:-3],
+    "not_snapshot": wire.encode_add_clause([1]),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_SNAPSHOTS))
+def test_a_bad_snapshot_closes_the_socket_and_answers_memory_unavailable(kind):
+    data = BAD_SNAPSHOTS[kind]
+    hub, sock = socket.socketpair()
+    try:
+        hub.sendall(data)
+        hub.shutdown(socket.SHUT_WR)
+        with pytest.raises(MirrorProtocolError):
+            MemoryMirror(sock, "tcp://127.0.0.1:0")
+        assert sock.fileno() == -1
+    finally:
+        hub.close(); sock.close()
+
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve_once():
+        peer, _ = listener.accept()
+        with peer:
+            peer.sendall(data)
+            peer.shutdown(socket.SHUT_WR)
+            peer.recv(1)  # until the worker hangs up
+
+    server = threading.Thread(target=serve_once, daemon=True)
+    server.start()
+    try:
+        outcome = SolverWorker().solve(f"tcp://127.0.0.1:{listener.getsockname()[1]}")
+        assert (outcome.result, outcome.error) == ("UNKNOWN", "MEMORY_UNAVAILABLE")
+    finally:
+        listener.close()
+        server.join(timeout=5)
+    assert not server.is_alive()
 
 
 def test_well_formed_snapshot_is_taken_whole():
@@ -736,3 +800,30 @@ def test_close_returns_once_the_hub_applied_every_clause(service):
         mirror.close()
         assert obj.view.clause_tuples() == clauses
         service.delete_memory(obj.object_id)
+
+
+def test_variables_past_the_wire_bound_are_refused(service):
+    bound = 2**31 - 1  # the largest variable an i32 literal can name
+    obj = service.create_memory(bound - 1)
+    mirror = connect(obj.direct_url)
+    try:
+        assert mirror.reserve_variables(1) == bound
+        with pytest.raises(ClauseRangeError):
+            mirror.reserve_variables(1)
+        # the hub closes the connection: the mirror cannot pair the error
+        # with its pending reservation
+        assert wait_until(lambda: not mirror.alive)
+    finally:
+        mirror.close()
+    assert obj.view.var_count == bound
+    reply = call(service, "SatCnf.addVariable", obj.object_id)
+    assert list(reply) == ["error"] and str(bound) in reply["error"], reply
+    fresh = connect(obj.direct_url)
+    try:
+        assert fresh.var_count == bound
+        with pytest.raises(ClauseRangeError):
+            fresh.add_variable()
+        assert wait_until(lambda: not fresh.alive)
+    finally:
+        fresh.close()
+    assert obj.view.var_count == wire.MAX_VARIABLE == bound
