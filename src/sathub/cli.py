@@ -84,8 +84,8 @@ def cmd_encode(args) -> int:
         layout = build_factorization(spec, store)
         comments = [
             f"factorization of {product} into two {args.l}-bit factors",
-            f"u vars {layout['uVars'][0]}..{layout['uVars'][-1]} (LSB first)",
-            f"v vars {layout['vVars'][0]}..{layout['vVars'][-1]} (LSB first)",
+            f"u vars {_var_range(layout['uVars'])}",
+            f"v vars {_var_range(layout['vVars'])}",
         ]
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(dimacs.dumps(store, comments=comments))
@@ -94,9 +94,13 @@ def cmd_encode(args) -> int:
 
     print(f"variables: {vars_total}")
     print(f"clauses:   {clauses_total}")
-    print(f"u vars:    {layout['uVars'][0]}..{layout['uVars'][-1]} (LSB first)")
-    print(f"v vars:    {layout['vVars'][0]}..{layout['vVars'][-1]} (LSB first)")
+    print(f"u vars:    {_var_range(layout['uVars'])}")
+    print(f"v vars:    {_var_range(layout['vVars'])}")
     return EXIT_SAT
+
+
+def _var_range(bits: list[int]) -> str:
+    return f"{min(bits)}..{max(bits)} (MSB first)"
 
 
 def _pick_outcome(results: list[dict]) -> dict:
@@ -215,7 +219,7 @@ def cmd_solve(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sathub",
-        description="Shared SAT memory and solvers, with a Karatsuba factoring encoder.",
+        description="Shared SAT memory and solvers, with an array/Karatsuba factoring encoder.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,6 +12,7 @@ sent, coalesced, by one writer thread.
 
 from __future__ import annotations
 
+import io
 import queue
 import socket
 import threading
@@ -48,9 +49,9 @@ def parse_direct_url(url: str) -> tuple[str, int]:
 def connect(direct_url: str, timeout: float = 5.0) -> "MemoryMirror":
     """Open a mirror of the memory at ``direct_url`` (snapshot applied).
 
-    ``timeout`` bounds the connect and each read of the snapshot; the socket
+    ``timeout`` bounds the connect, and then the whole snapshot; the socket
     blocks without a timeout only once the snapshot is applied. A peer that
-    sends no valid snapshot raises ``OSError``: ``TimeoutError``, or
+    sends no valid snapshot in time raises ``OSError``: ``TimeoutError``, or
     ``MirrorProtocolError`` for a truncated, misplaced or out-of-range one.
     """
     host, port = parse_direct_url(direct_url)
@@ -65,6 +66,32 @@ def _snapshot_in_range(var_count: int, clauses: list[list[int]]) -> bool:
     if not all(clauses) or 0 in lits:
         return False
     return not lits or (min(lits) >= -var_count and max(lits) <= var_count)
+
+
+class _DeadlineReader(io.RawIOBase):
+    """A socket's raw reads, each refused once ``deadline`` (monotonic) has
+    passed and otherwise bounded by the time left; ``None`` lifts the bound."""
+
+    def __init__(self, sock: socket.socket, deadline: float | None) -> None:
+        super().__init__()
+        self._sock = sock
+        self._raw = sock.makefile("rb", buffering=0)
+        self.deadline = deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        if self.deadline is not None:
+            left = self.deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("snapshot not received within the connect timeout")
+            self._sock.settimeout(left)
+        return self._raw.readinto(buffer)
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
 
 
 def _read_snapshot(stream) -> tuple[int, list[list[int]]]:
@@ -84,12 +111,15 @@ class MemoryMirror:
     """Local replica of a remote SAT memory plus its direct-protocol channel."""
 
     def __init__(self, sock: socket.socket, direct_url: str) -> None:
-        """Apply the snapshot that ``sock`` opens with, within the socket's
-        timeout, then mirror its stream; on any failure, close it and raise."""
+        """Apply the snapshot that ``sock`` opens with, all of it within the
+        socket's timeout, then mirror its stream; on any failure, close it
+        and raise."""
         self.direct_url = direct_url
         self.alive = True
         self._sock = sock
-        self._stream = sock.makefile("rb")
+        timeout = sock.gettimeout()
+        raw = _DeadlineReader(sock, None if timeout is None else time.monotonic() + timeout)
+        self._stream = io.BufferedReader(raw)
         self._request_lock = threading.Lock()
         self._responses: queue.Queue = queue.Queue()
         self._reserving: deque = deque()  # sizes of reservations awaiting their index
@@ -100,6 +130,7 @@ class MemoryMirror:
             self._stream.close()
             sock.close()
             raise
+        raw.deadline = None
         sock.settimeout(None)
         self.store = CnfStore(var_count)
         # the hub's clauses are already canonical and distinct

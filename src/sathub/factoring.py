@@ -1,10 +1,13 @@
 """Integer-factorization-to-CNF encoder and model decoder.
 
-The first 2l variables of the target memory are the factor bits, LSB first:
-u is x_1..x_l and v is x_(l+1)..x_(2l), with x_l and x_(2l) the sign bits.
-The encoding constrains the multiplier output to the given product bits and
-adds nontriviality (each factor >= 2), nonnegativity (sign bits zero), and
-the ordering circuit u - v >= 0, so models are exactly the ordered factor
+The first 2l variables of the target memory are the factor bits, MSB first:
+u is x_1..x_l and v is x_(l+1)..x_(2l), with x_1 and x_(l+1) the sign bits
+and x_l and x_(2l) the least significant bits. The solver decides the
+lowest-index free variable first, so it settles the top bits first. The
+encoding constrains an array multiplier's output (Karatsuba above
+``bitvec.SCHOOLBOOK_MAX_WIDTH``) to the given product bits and adds
+nontriviality (each factor >= 2), nonnegativity (sign bits zero), and the
+ordering circuit u - v >= 0, so models are exactly the ordered factor
 pairs. All auxiliary variables are functionally determined, which keeps the
 model unique when the product is a semiprime.
 """
@@ -54,7 +57,8 @@ def build_factorization(spec: FactorizationSpec, memory, alloc_chunk=None) -> di
     """Encode the factorization instance into ``memory``; returns the variable layout.
 
     The memory is grown to at least 2l variables; variables 1..l and l+1..2l
-    become the u and v bits. Satisfying models decode to pairs (u, v) with
+    become the u and v bits, each MSB first; ``uVars``/``vVars`` list them
+    LSB first. Satisfying models decode to pairs (u, v) with
     u * v == product and 2 <= v <= u < 2**(l-1).
     """
     l = spec.l
@@ -63,14 +67,14 @@ def build_factorization(spec: FactorizationSpec, memory, alloc_chunk=None) -> di
         grow(2 * l - memory.var_count)
 
     ctx = CircuitBuilder(memory, alloc_chunk=alloc_chunk)
-    u = BitVec.from_vars(1, l)
-    v = BitVec.from_vars(l + 1, l)
+    u = BitVec(tuple(range(l, 0, -1)))
+    v = BitVec(tuple(range(2 * l, l, -1)))
 
     product = product_with(u, v, ctx)
     for lit, bit in zip(product, spec.product_bits):
         ctx.add_clause([lit if bit else -lit])
 
-    # factors may not be 0 or 1: some bit above the LSB and below the sign
+    # factors may not be 0 or 1: some bit below the sign and above the LSB
     for first in (1, l + 1):
         middle = list(range(first + 1, first + l - 1))
         if middle:
@@ -79,8 +83,8 @@ def build_factorization(spec: FactorizationSpec, memory, alloc_chunk=None) -> di
             ctx.add_clause([ctx.false_lit])
 
     # nonnegative factors: sign bits are zero
-    ctx.add_clause([-l])
-    ctx.add_clause([-2 * l])
+    ctx.add_clause([-1])
+    ctx.add_clause([-(l + 1)])
 
     # ordering u - v >= 0: sign of the (l+1)-bit difference must be clear
     u_ext = widen(u, l + 1, ctx, signed=True)
@@ -90,18 +94,18 @@ def build_factorization(spec: FactorizationSpec, memory, alloc_chunk=None) -> di
 
     ctx.finalize()
     return {
-        "uVars": list(range(1, l + 1)),
-        "vVars": list(range(l + 1, 2 * l + 1)),
+        "uVars": list(u),
+        "vVars": list(v),
         "varsAllocated": ctx.vars_allocated,
         "clausesAdded": ctx.clauses_added,
     }
 
 
 def decode_model(model, spec: FactorizationSpec) -> tuple[int, int]:
-    """Read the factor pair (u, v) out of a satisfying model."""
+    """Read the factor pair (u, v) out of a satisfying model (MSB-first bits)."""
     l = spec.l
     if len(model) < 2 * l:
         raise ValueError(f"model has {len(model)} entries, need at least {2 * l}")
-    u = sum(1 << i for i in range(l) if model[i])
-    v = sum(1 << i for i in range(l) if model[l + i])
+    u = sum(1 << i for i in range(l) if model[l - 1 - i])
+    v = sum(1 << i for i in range(l) if model[2 * l - 1 - i])
     return u, v

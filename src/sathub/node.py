@@ -37,13 +37,20 @@ class MalformedArgument(ValueError):
     """A web-call argument of the wrong type or shape."""
 
 
-def _number(argument: dict, key: str, convert, default):
-    """``convert(argument[key])``; MalformedArgument if that fails."""
-    value = argument.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise MalformedArgument(f"{key} must be a number, got {value!r}") from None
+def _count(argument: dict, key: str) -> int:
+    """``argument[key]``, default 0, if it is a JSON integer; MalformedArgument if not."""
+    value = argument.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedArgument(f"{key}: must be a JSON integer, got {value!r}")
+    return value
+
+
+def _timeout(argument: dict) -> float:
+    """``argument["timeout"]``, default 0, if it is a JSON number; MalformedArgument if not."""
+    value = argument.get("timeout", 0.0)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedArgument(f"timeout: must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _flag(argument: dict, key: str) -> bool:
@@ -181,7 +188,7 @@ class ServerNode:
             return {"error": "MALFORMED_ENVELOPE: argument must be a JSON object"}
         try:
             if method == "SatCnf.create":
-                count = _number(argument, "initialVariableCount", int, 0)
+                count = _count(argument, "initialVariableCount")
                 if not 0 <= count <= wire.MAX_VARIABLE:
                     raise MalformedArgument(
                         f"initialVariableCount: must be in 0..{wire.MAX_VARIABLE}, got {count}"
@@ -213,7 +220,7 @@ class ServerNode:
                     return {"error": "NO_SUCH_OBJECT"}
                 if method == "SatSolver.solve":
                     # a bad timeout or diversification is named before a bad URL
-                    timeout = _number(argument, "timeout", float, 0.0)
+                    timeout = _timeout(argument)
                     diversification = _diversification(argument)
                     outcome = worker.solve(
                         _memory_url(argument),
@@ -234,7 +241,7 @@ class ServerNode:
                 calls = [
                     SolveCall(
                         solver_id=item.get("solverId"),
-                        timeout=_number(item, "timeout", float, 0.0),
+                        timeout=_timeout(item),
                         diversification=diversification,
                         memory=_memory_url(item),
                     )
@@ -250,7 +257,7 @@ class ServerNode:
             elif method == "Kernel.listSolvers":
                 return {"solvers": [r.as_json() for r in self.registry.list_solvers()]}
             elif method == "Kernel.findAvailable":
-                worker = self.registry.find_available(_number(argument, "timeout", float, 0.0))
+                worker = self.registry.find_available(_timeout(argument))
                 return {"solverId": worker.record.solver_id}
             return {"error": "NO_SUCH_METHOD"}
         except NoSuchMemory:

@@ -1,7 +1,7 @@
 import pytest
 
 from sathub.cnf import CnfStore
-from sathub.dpll import DpllSolver, run
+from sathub.dpll import DpllSolver, SolveControl, run
 from sathub.factoring import FactorizationSpec, build_factorization, decode_model
 
 from oracles import rup_refutes, two_factor_pairs
@@ -49,8 +49,8 @@ def test_spec_validation():
 
 def test_layout_and_counts():
     spec, store, layout = encode(4, 15)
-    assert layout["uVars"] == [1, 2, 3, 4]
-    assert layout["vVars"] == [5, 6, 7, 8]
+    assert layout["uVars"] == [4, 3, 2, 1]
+    assert layout["vVars"] == [8, 7, 6, 5]
     assert store.var_count >= 8
     assert len(store.clauses()) > 0
 
@@ -117,7 +117,7 @@ def test_decode_model_errors_and_totality():
     with pytest.raises(ValueError):
         decode_model([True] * 7, spec)
     assert decode_model([False] * 8, spec) == (0, 0)
-    model = [True, False, True, False, True, True, False, False]
+    model = [False, True, False, True, False, False, True, True]
     assert decode_model(model, spec) == (5, 3)
 
 
@@ -138,14 +138,38 @@ def test_l2_unrepresentable_factors_unsat(run_solvers):
 
 def test_remaining_variables_all_determined():
     # fixing the factor bits of a SAT instance forces every auxiliary variable
-    spec, store, _ = encode(4, 21)
+    spec, store, layout = encode(4, 21)
     solver = solver_for(store)
     assumptions = []
-    for i, bit in enumerate([True, True, True, False]):  # u = 7
-        assumptions.append(i + 1 if bit else -(i + 1))
-    for i, bit in enumerate([True, True, False, False]):  # v = 3
-        assumptions.append(i + 5 if bit else -(i + 5))
+    for var, bit in zip(layout["uVars"], [True, True, True, False]):  # u = 7
+        assumptions.append(var if bit else -var)
+    for var, bit in zip(layout["vVars"], [True, True, False, False]):  # v = 3
+        assumptions.append(var if bit else -var)
     first = solver.solve(assumptions=assumptions)
     assert first.result == "SAT"
     solver.add_clause([-(i + 1) if v else (i + 1) for i, v in enumerate(first.model)])
     assert solver.solve(assumptions=assumptions).result == "UNSAT"
+
+
+@pytest.mark.parametrize(
+    "l, product, factors, budget",
+    [
+        (16, 60491, (251, 241), 200),
+        (32, 8633, (97, 89), 2_000),
+        (32, 4292870399, (65521, 65519), 2_000),
+    ],
+)
+def test_time_to_answer_within_decision_budget(l, product, factors, budget):
+    # the MSB-first layout and the array multiplier answer these in tens to
+    # hundreds of decisions; a search past the budget is cancelled to UNKNOWN
+    spec, store, _ = encode(l, product)
+    control = SolveControl()
+
+    def on_decision(count):
+        if count > budget:
+            control.cancel()
+
+    outcome = run(store, control=control, on_decision=on_decision)
+    assert outcome.result == "SAT", (product, outcome.result)
+    assert store.evaluate(outcome.model)
+    assert decode_model(outcome.model, spec) == factors

@@ -373,6 +373,13 @@ BAD_MEMORY_URLS = [
         ("Kernel.parallelize", {"calls": [], "firstSatCancels": "false"}),
         ("SatCnf.create", {"initialVariableCount": 2**33}),
         ("SatCnf.create", {"initialVariableCount": -1}),
+        ("SatCnf.create", {"initialVariableCount": 2.7}),
+        ("SatCnf.create", {"initialVariableCount": True}),
+        ("SatCnf.create", {"initialVariableCount": "12"}),
+        ("SatSolver.solve", {"timeout": True}),
+        ("SatSolver.solve", {"timeout": "5"}),
+        ("Kernel.findAvailable", {"timeout": False}),
+        ("Kernel.parallelize", {"calls": [{"timeout": "1"}]}),
     ],
 )
 def test_bad_argument_answers_malformed_envelope(node, method, argument):

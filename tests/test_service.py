@@ -167,6 +167,51 @@ def test_connect_to_a_silent_peer_times_out():
         thread.join(timeout=5)
 
 
+def test_connect_to_a_dripping_peer_times_out_for_the_whole_snapshot():
+    # each byte arrives well within the timeout; the whole snapshot does not
+    listener = socket.create_server(("127.0.0.1", 0))
+    url = f"tcp://127.0.0.1:{listener.getsockname()[1]}"
+    snapshot = wire.encode_snapshot(3, [[1, -2, 3], [-1, 2], [2, 3], [-3], [1, 2, 3]])
+    stop = threading.Event()
+
+    def drip():
+        peer, _ = listener.accept()
+        with peer:
+            for i in range(len(snapshot)):
+                if stop.wait(0.1):
+                    return
+                try:
+                    peer.sendall(snapshot[i:i + 1])
+                except OSError:
+                    return
+
+    raised = []
+    took = []
+
+    def attempt():
+        start = time.monotonic()
+        try:
+            connect(url, timeout=0.3).close()
+        except BaseException as exc:
+            raised.append(exc)
+        took.append(time.monotonic() - start)
+
+    dripper = threading.Thread(target=drip, daemon=True)
+    dripper.start()
+    thread = threading.Thread(target=attempt, daemon=True)
+    thread.start()
+    try:
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "connect still reads the dripped snapshot"
+        assert len(raised) == 1 and isinstance(raised[0], OSError), raised
+        assert took[0] < 2, took
+    finally:
+        stop.set()
+        dripper.join(timeout=5)
+        listener.close()
+        thread.join(timeout=5)
+
+
 BAD_SNAPSHOTS = {
     "truncated": wire.encode_snapshot(3, [[1, -2], [3]])[:-3],
     "not_snapshot": wire.encode_add_clause([1]),
