@@ -2,17 +2,13 @@
 
 Bit vectors are LSB-first literal lists with two's-complement semantics.
 Addition and negation are exact mod 2**width; multiplication doubles the
-width, so products of unsigned inputs are exact. Up to
-``SCHOOLBOOK_MAX_WIDTH`` bits the multiplier is an array (shift-and-add)
-of AND rows and ripple-carry adders. Above it, it recurses Karatsuba-style
-on three half-width products:
-
-    u*v = (2^(2n) + 2^n) * U1*V1 + 2^n * (U1 - U0) * (V0 - V1) + (2^n + 1) * U0*V0
-
-with n = width/2. Halves are treated as unsigned; the signed middle term is
-computed as sign/magnitude (comparator-selected conditional negation), its
-magnitude multiplied recursively, the result negated back conditionally at
-2n+1 bits and sign-extended into the combination width.
+width, so products of unsigned inputs are exact. The multiplier is an array
+(shift-and-add) of AND rows summed by ripple-carry adders at every width.
+``karatsuba_terms`` checks the Karatsuba recombination at the integer
+level; no circuit is built from it, because its signed middle term weakens
+propagation: one Karatsuba level over 16-bit arrays took 32.5 s on the
+in-process solve of 4292870399 at l=32, against 0.13 s for the array
+(2-CPU x86-64, Python 3.11).
 """
 
 from __future__ import annotations
@@ -20,12 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import CircuitBuilder
-
-# Widest product built as an array. Each Karatsuba level adds a signed middle
-# term (comparator, two conditional negations) that weakens propagation: the
-# in-process solve of 4292870399 at l=32 took 32.5 s with a base of 16 and
-# 0.13 s with a base of 32 (2-CPU x86-64, Python 3.11).
-SCHOOLBOOK_MAX_WIDTH = 32
 
 
 @dataclass(frozen=True)
@@ -96,14 +86,12 @@ def sum_with(a: BitVec, b: BitVec, ctx: CircuitBuilder) -> BitVec:
     return BitVec(tuple(out))
 
 
-def conditional_negate(
-    b: BitVec, sign: int, ctx: CircuitBuilder, out_width: int | None = None
-) -> BitVec:
+def conditional_negate(b: BitVec, sign: int, ctx: CircuitBuilder) -> BitVec:
     """Value when sign is false, two's-complement negation when true.
 
     Computed as (b xor sign) + sign; the low bit is unchanged either way.
     """
-    width = out_width if out_width is not None else b.width
+    width = b.width
     out = [b.lits[0]]
     carry = ctx.and_(sign, -b.lits[0])
     for i in range(1, width):
@@ -111,12 +99,19 @@ def conditional_negate(
         out.append(ctx.xor(z, carry))
         if i < width - 1:
             carry = ctx.and_(z, carry)
-    return BitVec(tuple(out[:width]))
+    return BitVec(tuple(out))
 
 
-def _schoolbook(a: BitVec, b: BitVec, ctx: CircuitBuilder) -> BitVec:
-    """Array (shift-and-add) multiplier: one AND row per bit of ``a``."""
+def product_with(a: BitVec, b: BitVec, ctx: CircuitBuilder) -> BitVec:
+    """Unsigned product of two power-of-two-width vectors, exact in 2*width bits.
+
+    An array (shift-and-add) multiplier: one AND row per bit of ``a``.
+    """
     w = a.width
+    if b.width != w:
+        raise ValueError(f"width mismatch: {w} vs {b.width}")
+    if w & (w - 1):
+        raise ValueError(f"width must be a power of two, got {w}")
     out_width = 2 * w
     acc = None
     for i in range(w):
@@ -126,52 +121,11 @@ def _schoolbook(a: BitVec, b: BitVec, ctx: CircuitBuilder) -> BitVec:
     return acc
 
 
-def product_with(a: BitVec, b: BitVec, ctx: CircuitBuilder) -> BitVec:
-    """Unsigned product of two power-of-two-width vectors, exact in 2*width bits."""
-    w = a.width
-    if b.width != w:
-        raise ValueError(f"width mismatch: {w} vs {b.width}")
-    if w & (w - 1):
-        raise ValueError(f"width must be a power of two, got {w}")
-    if w <= SCHOOLBOOK_MAX_WIDTH:
-        return _schoolbook(a, b, ctx)
-
-    n = w // 2
-    u0, u1 = BitVec(a.lits[:n]), BitVec(a.lits[n:])
-    v0, v1 = BitVec(b.lits[:n]), BitVec(b.lits[n:])
-
-    p_hi = product_with(u1, v1, ctx)
-    p_lo = product_with(u0, v0, ctx)
-
-    # signed differences U1-U0 and V0-V1, exact in n+1 bits
-    du = sum_with(widen(u1, n + 1, ctx), negation(widen(u0, n + 1, ctx), ctx), ctx)
-    dv = sum_with(widen(v0, n + 1, ctx), negation(widen(v1, n + 1, ctx), ctx), ctx)
-    sign_u = du.lits[-1]
-    sign_v = dv.lits[-1]
-    mag_u = conditional_negate(du, sign_u, ctx, out_width=n)
-    mag_v = conditional_negate(dv, sign_v, ctx, out_width=n)
-
-    mid_mag = product_with(mag_u, mag_v, ctx)
-    sign_mid = ctx.xor(sign_u, sign_v)
-    mid_signed = conditional_negate(widen(mid_mag, 2 * n + 1, ctx), sign_mid, ctx)
-
-    out_width = 2 * w
-    hi = widen(p_hi, out_width, ctx)
-    lo = widen(p_lo, out_width, ctx)
-    mid = widen(mid_signed, out_width, ctx, signed=True)
-
-    acc = sum_with(shift_left(hi, 2 * n, ctx, out_width), shift_left(hi, n, ctx, out_width), ctx)
-    acc = sum_with(acc, shift_left(mid, n, ctx, out_width), ctx)
-    acc = sum_with(acc, shift_left(lo, n, ctx, out_width), ctx)
-    acc = sum_with(acc, lo, ctx)
-    return acc
-
-
 def karatsuba_terms(u: int, v: int, width: int) -> tuple[int, int, int, int]:
     """Integer-level decomposition: the three weighted terms and their total.
 
-    Mirrors the circuit construction's plan with the middle coefficient 2^n;
-    useful for checking the recombination arithmetic without circuits.
+    u*v = (2^(2n) + 2^n) * U1*V1 + 2^n * (U1 - U0) * (V0 - V1) + (2^n + 1) * U0*V0
+    with n = width/2 and U1, U0 (V1, V0) the high and low halves.
     """
     n = width // 2
     mask = (1 << n) - 1

@@ -219,7 +219,7 @@ def cmd_solve(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sathub",
-        description="Shared SAT memory and solvers, with an array/Karatsuba factoring encoder.",
+        description="Shared SAT memory and solvers, with an array-multiplier factoring encoder.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

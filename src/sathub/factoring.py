@@ -4,8 +4,8 @@ The first 2l variables of the target memory are the factor bits, MSB first:
 u is x_1..x_l and v is x_(l+1)..x_(2l), with x_1 and x_(l+1) the sign bits
 and x_l and x_(2l) the least significant bits. The solver decides the
 lowest-index free variable first, so it settles the top bits first. The
-encoding constrains an array multiplier's output (Karatsuba above
-``bitvec.SCHOOLBOOK_MAX_WIDTH``) to the given product bits and adds
+encoding constrains an array multiplier's output to the given product
+bits and adds
 nontriviality (each factor >= 2), nonnegativity (sign bits zero), and the
 ordering circuit u - v >= 0, so models are exactly the ordered factor
 pairs. All auxiliary variables are functionally determined, which keeps the

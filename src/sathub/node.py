@@ -46,11 +46,20 @@ def _count(argument: dict, key: str) -> int:
 
 
 def _timeout(argument: dict) -> float:
-    """``argument["timeout"]``, default 0, if it is a JSON number; MalformedArgument if not."""
+    """``argument["timeout"]``, default 0, if it is a JSON number a wait accepts.
+
+    A wait takes at most ``threading.TIMEOUT_MAX`` seconds; anything else
+    (a bool, a string, NaN, an infinity or a number of larger magnitude)
+    is a MalformedArgument.
+    """
     value = argument.get("timeout", 0.0)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedArgument(f"timeout: must be a JSON number, got {value!r}")
-    return float(value)
+    # NaN fails the comparison too
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        if abs(value) <= threading.TIMEOUT_MAX:
+            return float(value)
+    raise MalformedArgument(
+        f"timeout: must be a JSON number of magnitude at most {threading.TIMEOUT_MAX:.0f}, got {value!r}"
+    )
 
 
 def _flag(argument: dict, key: str) -> bool:

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from sathub import bitvec
 from sathub.bitvec import (
     BitVec,
     conditional_negate,
@@ -122,31 +121,6 @@ def test_product_width_8_random_pairs():
         x = rng.randrange(256)
         y = rng.randrange(256)
         assert h.eval(x, y) == x * y, (x, y)
-
-
-def test_product_width_64_random_pairs_through_karatsuba():
-    # above SCHOOLBOOK_MAX_WIDTH: one Karatsuba level over array products
-    assert 64 > bitvec.SCHOOLBOOK_MAX_WIDTH
-    h = CircuitHarness([64, 64], lambda ctx, a, b: product_with(a, b, ctx))
-    rng = random.Random(64)
-    for _ in range(100):
-        x = rng.getrandbits(64)
-        y = rng.getrandbits(64)
-        assert h.eval(x, y) == x * y, (x, y)
-
-
-def test_product_karatsuba_recursion_down_to_width_2(monkeypatch):
-    monkeypatch.setattr(bitvec, "SCHOOLBOOK_MAX_WIDTH", 2)
-    h4 = CircuitHarness([4, 4], lambda ctx, a, b: product_with(a, b, ctx))
-    for x in range(16):
-        for y in range(16):
-            assert h4.eval(x, y) == x * y, (x, y)
-    h8 = CircuitHarness([8, 8], lambda ctx, a, b: product_with(a, b, ctx))
-    rng = random.Random(321)
-    for _ in range(100):
-        x = rng.randrange(256)
-        y = rng.randrange(256)
-        assert h8.eval(x, y) == x * y, (x, y)
 
 
 def test_conditional_negate():

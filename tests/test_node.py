@@ -380,6 +380,11 @@ BAD_MEMORY_URLS = [
         ("SatSolver.solve", {"timeout": "5"}),
         ("Kernel.findAvailable", {"timeout": False}),
         ("Kernel.parallelize", {"calls": [{"timeout": "1"}]}),
+        ("SatSolver.solve", {"timeout": 10**400}),
+        ("Kernel.findAvailable", {"timeout": 1e300}),
+        ("Kernel.findAvailable", {"timeout": float("nan")}),
+        ("SatSolver.solve", {"timeout": float("inf")}),
+        ("Kernel.parallelize", {"calls": [{"timeout": float("-inf")}]}),
     ],
 )
 def test_bad_argument_answers_malformed_envelope(node, method, argument):
@@ -391,6 +396,8 @@ def test_bad_argument_answers_malformed_envelope(node, method, argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: diversification: "), reply
     if (method, argument) in BAD_MEMORY_URLS:
         assert reply["error"].startswith("MALFORMED_ENVELOPE: satMemoryUrl: "), reply
+    if "'timeout'" in str(argument):
+        assert reply["error"].startswith("MALFORMED_ENVELOPE: timeout: "), reply
     if method == "SatCnf.create" and isinstance(argument["initialVariableCount"], int):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: initialVariableCount: "), reply
 
