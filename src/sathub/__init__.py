@@ -1,6 +1,6 @@
 """Shared SAT memory and shared SAT solvers over a small RPC/socket fabric."""
 
-from .bitvec import BitVec, negation, product_with, sum_with
+from .bitvec import BitVec, product_with, sum_with
 from .circuits import CircuitBuilder, build_expression_circuit
 from .client import MemoryMirror, connect
 from .cnf import ClauseRangeError, CnfStore, canonical_clause
@@ -42,7 +42,6 @@ __all__ = [
     "decode_model",
     "eval_expr",
     "lower_to_cnf",
-    "negation",
     "parallelize",
     "product_with",
     "run",

@@ -5,18 +5,19 @@ u is x_1..x_l and v is x_(l+1)..x_(2l), with x_1 and x_(l+1) the sign bits
 and x_l and x_(2l) the least significant bits. The solver decides the
 lowest-index free variable first, so it settles the top bits first. The
 encoding constrains an array multiplier's output to the given product
-bits and adds
-nontriviality (each factor >= 2), nonnegativity (sign bits zero), and the
-ordering circuit u - v >= 0, so models are exactly the ordered factor
-pairs. All auxiliary variables are functionally determined, which keeps the
-model unique when the product is a semiprime.
+bits and adds nontriviality (each factor >= 2), nonnegativity (sign bits
+zero), and the order v <= u as two bounds against constants:
+v <= floor(sqrt(N)) and u >= ceil(sqrt(N)). So models are exactly the
+ordered factor pairs. All auxiliary variables are functionally determined,
+which keeps the model unique when the product is a semiprime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
-from .bitvec import BitVec, negation, product_with, sum_with, widen
+from .bitvec import BitVec, product_with
 from .circuits import CircuitBuilder
 
 
@@ -86,11 +87,19 @@ def build_factorization(spec: FactorizationSpec, memory, alloc_chunk=None) -> di
     ctx.add_clause([-1])
     ctx.add_clause([-(l + 1)])
 
-    # ordering u - v >= 0: sign of the (l+1)-bit difference must be clear
-    u_ext = widen(u, l + 1, ctx, signed=True)
-    v_ext = widen(v, l + 1, ctx, signed=True)
-    difference = sum_with(u_ext, negation(v_ext, ctx), ctx)
-    ctx.add_clause([-difference.lits[-1]])
+    # ordering v <= u: as u * v == product, it holds exactly when v <= S =
+    # floor(sqrt(product)), and then u >= C = ceil(sqrt(product)). Each is a
+    # comparison with a constant, one clause per bit and no auxiliary variable.
+    s = isqrt(spec.product)
+    c = s if s * s == spec.product else s + 1
+    for i in range(l):
+        if not (s >> i) & 1:  # v may not set bit i and every bit above it where S has a 1
+            ctx.add_clause([-v[i]] + [-v[j] for j in range(i + 1, l) if (s >> j) & 1])
+    if c >> l:
+        ctx.add_clause([ctx.false_lit])  # no l-bit u reaches C = 2**l
+    for i in range(l):
+        if (c >> i) & 1:  # u must set bit i or a bit above it where C has a 0
+            ctx.add_clause([u[i]] + [u[j] for j in range(i + 1, l) if not (c >> j) & 1])
 
     ctx.finalize()
     return {

@@ -62,6 +62,14 @@ def _timeout(argument: dict) -> float:
     )
 
 
+def _solver_id(argument: dict) -> Optional[str]:
+    """``argument["solverId"]``, None when absent, if it is a string; MalformedArgument if not."""
+    value = argument.get("solverId")
+    if value is not None and not isinstance(value, str):
+        raise MalformedArgument(f"solverId: must be a string, got {value!r}")
+    return value
+
+
 def _flag(argument: dict, key: str) -> bool:
     """``argument[key]``, default false, if it is a JSON boolean; MalformedArgument if not."""
     value = argument.get(key, False)
@@ -249,7 +257,7 @@ class ServerNode:
                 settings = [_diversification(item) for item in items]
                 calls = [
                     SolveCall(
-                        solver_id=item.get("solverId"),
+                        solver_id=_solver_id(item),
                         timeout=_timeout(item),
                         diversification=diversification,
                         memory=_memory_url(item),

@@ -68,10 +68,10 @@ class DiversificationSettings:
                     raise ValueError(f"bad phase key: {key!r}")
                 by_var[int(match.group(1))] = value  # __post_init__ checks it is a boolean
             phases = by_var
-        try:
-            rank, size = int(obj.get("rank", 0)), int(obj.get("size", 1))
-        except (TypeError, ValueError):
-            raise ValueError("rank and size must be integers") from None
+        rank, size = obj.get("rank", 0), obj.get("size", 1)
+        for name, value in (("rank", rank), ("size", size)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be a JSON integer, got {value!r}")
         return cls(rank=rank, size=size, phases=phases)
 
 

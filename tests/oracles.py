@@ -142,6 +142,22 @@ def from_bits(bits) -> int:
     return v
 
 
+def karatsuba_terms(u: int, v: int, width: int) -> tuple[int, int, int, int]:
+    """Integer-level decomposition: the three weighted terms and their total.
+
+    u*v = (2^(2n) + 2^n) * U1*V1 + 2^n * (U1 - U0) * (V0 - V1) + (2^n + 1) * U0*V0
+    with n = width/2 and U1, U0 (V1, V0) the high and low halves.
+    """
+    n = width // 2
+    mask = (1 << n) - 1
+    u1, u0 = u >> n, u & mask
+    v1, v0 = v >> n, v & mask
+    t_hi = ((1 << (2 * n)) + (1 << n)) * (u1 * v1)
+    t_mid = (1 << n) * ((u1 - u0) * (v0 - v1))
+    t_lo = ((1 << n) + 1) * (u0 * v0)
+    return t_hi, t_mid, t_lo, t_hi + t_mid + t_lo
+
+
 def php_clauses(pigeons: int, holes: int):
     """Pigeonhole principle CNF; variable (p-1)*holes + h is 'pigeon p in hole h'."""
     var = lambda p, h: (p - 1) * holes + h

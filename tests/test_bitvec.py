@@ -2,21 +2,12 @@ import random
 
 import pytest
 
-from sathub.bitvec import (
-    BitVec,
-    conditional_negate,
-    karatsuba_terms,
-    negation,
-    product_with,
-    shift_left,
-    sum_with,
-    widen,
-)
+from sathub.bitvec import BitVec, product_with, shift_left, sum_with
 from sathub.circuits import CircuitBuilder
 from sathub.cnf import CnfStore
 from sathub.dpll import DpllSolver
 
-from oracles import from_bits
+from oracles import from_bits, karatsuba_terms
 
 
 class CircuitHarness:
@@ -46,22 +37,6 @@ class CircuitHarness:
             model[lit - 1] if lit > 0 else not model[-lit - 1] for lit in self.output
         ]
         return from_bits(bits)
-
-
-def test_negation_examples():
-    h = CircuitHarness([3], lambda ctx, a: negation(a, ctx))
-    assert h.eval(3) == 5  # -3 mod 8
-
-    h4 = CircuitHarness([4], lambda ctx, a: negation(a, ctx))
-    assert h4.eval(0) == 0
-    assert h4.eval(1) == 15  # -1 mod 16
-
-
-def test_negation_exhaustive_widths_to_4():
-    for w in range(1, 5):
-        h = CircuitHarness([w], lambda ctx, a: negation(a, ctx))
-        for value in range(1 << w):
-            assert h.eval(value) == (-value) % (1 << w), (w, value)
 
 
 def test_sum_examples():
@@ -123,32 +98,7 @@ def test_product_width_8_random_pairs():
         assert h.eval(x, y) == x * y, (x, y)
 
 
-def test_conditional_negate():
-    # one extra single-bit input drives the sign
-    def build(ctx, a, s):
-        return conditional_negate(a, s.lits[0], ctx)
-
-    h = CircuitHarness([4, 1], build)
-    for value in range(16):
-        assert h.eval(value, 0) == value
-        assert h.eval(value, 1) == (-value) % 16
-
-
-def test_widen_and_shift():
-    def build_zero(ctx, a):
-        return widen(a, 6, ctx)
-
-    h = CircuitHarness([4], build_zero)
-    for value in range(16):
-        assert h.eval(value) == value
-
-    def build_signed(ctx, a):
-        return widen(a, 6, ctx, signed=True)
-
-    hs = CircuitHarness([4], build_signed)
-    assert hs.eval(5) == 5
-    assert hs.eval(12) == 0b111100  # sign bit replicated
-
+def test_shift_left():
     def build_shift(ctx, a):
         return shift_left(a, 2, ctx, width=6)
 

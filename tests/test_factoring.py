@@ -84,18 +84,16 @@ def test_product_25_square():
     assert decode_model(outcome.model, spec) == (5, 5)
 
 
-def test_exhaustive_l4_products_4_to_49(run_solvers):
-    for product in range(4, 50):
+def test_exhaustive_l4_products_below_256(run_solvers):
+    # every model of every l=4 product is one ordered factor pair, and every
+    # pair has exactly one model; 226..255 need ceil(sqrt(N)) = 2**4
+    for product in range(256):
         spec, store, _ = encode(4, product)
         expected_pairs = two_factor_pairs(product, 2, 7)
-        outcome = run(store)
-        if expected_pairs:
-            assert outcome.result == "SAT", product
-            u, v = decode_model(outcome.model, spec)
-            assert u * v == product, product
-            assert u >= v, product
-            assert (u, v) in expected_pairs, product
-        else:
+        models = enumerate_models(store, limit=len(expected_pairs) + 1)
+        assert sorted(decode_model(m, spec) for m in models) == sorted(expected_pairs), product
+        if not expected_pairs:
+            outcome = run(store)
             assert outcome.result == "UNSAT", product
             assert rup_refutes(store.clause_tuples(), run_solvers[-1].learned), product
 
@@ -157,6 +155,8 @@ def test_remaining_variables_all_determined():
         (16, 60491, (251, 241), 200),
         (32, 8633, (97, 89), 2_000),
         (32, 4292870399, (65521, 65519), 2_000),
+        (32, 4611685975477714963, (2147483647, 2147483629), 2_000),
+        (32, 999985999949, (1000003, 999983), 2_000),
     ],
 )
 def test_time_to_answer_within_decision_budget(l, product, factors, budget):

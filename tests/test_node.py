@@ -385,6 +385,12 @@ BAD_MEMORY_URLS = [
         ("Kernel.findAvailable", {"timeout": float("nan")}),
         ("SatSolver.solve", {"timeout": float("inf")}),
         ("Kernel.parallelize", {"calls": [{"timeout": float("-inf")}]}),
+        ("SatSolver.solve", {"diversification": {"size": "2"}}),
+        ("SatSolver.solve", {"diversification": {"rank": 0.5}}),
+        ("SatSolver.solve", {"diversification": {"rank": True, "size": 2}}),
+        ("Kernel.parallelize", {"calls": [{"diversification": {"size": float("inf")}}]}),
+        ("Kernel.parallelize", {"calls": [{"solverId": ["x"], "satMemoryUrl": "tcp://127.0.0.1:1"}]}),
+        ("Kernel.parallelize", {"calls": [{"solverId": 5, "satMemoryUrl": "tcp://127.0.0.1:1"}]}),
     ],
 )
 def test_bad_argument_answers_malformed_envelope(node, method, argument):
@@ -398,6 +404,8 @@ def test_bad_argument_answers_malformed_envelope(node, method, argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: satMemoryUrl: "), reply
     if "'timeout'" in str(argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: timeout: "), reply
+    if "'solverId'" in str(argument):
+        assert reply["error"].startswith("MALFORMED_ENVELOPE: solverId: "), reply
     if method == "SatCnf.create" and isinstance(argument["initialVariableCount"], int):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: initialVariableCount: "), reply
 
