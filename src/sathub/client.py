@@ -13,6 +13,7 @@ sent, coalesced, by one writer thread.
 from __future__ import annotations
 
 import io
+import logging
 import queue
 import socket
 import threading
@@ -27,6 +28,8 @@ from .service import FrameWriter
 
 # Seconds a mirror waits for a reply from the hub, and for ``close`` to finish.
 REQUEST_TIMEOUT = 30.0
+
+log = logging.getLogger(__name__)
 
 
 class MirrorProtocolError(ConnectionError):
@@ -116,6 +119,7 @@ class MemoryMirror:
         and raise."""
         self.direct_url = direct_url
         self.alive = True
+        self.lost: str | None = None  # why the stream ended, once it has
         self._sock = sock
         timeout = sock.gettimeout()
         raw = _DeadlineReader(sock, None if timeout is None else time.monotonic() + timeout)
@@ -176,8 +180,12 @@ class MemoryMirror:
                     if opcode in (wire.FIRST_INDEX, wire.VAR_INDEX):
                         self._apply_reservation(payload)  # before the caller sees it
                     self._responses.put((opcode, payload))
-        except (wire.ConnectionClosed, wire.MalformedFrame, OSError, ValueError):
-            pass
+        except wire.ConnectionClosed as exc:
+            self.lost = f"ConnectionClosed: {exc}"
+        except (wire.MalformedFrame, OSError, ValueError) as exc:
+            # MirrorProtocolError is an OSError, ClauseRangeError a ValueError
+            self.lost = f"{type(exc).__name__}: {exc}"
+            log.warning("mirror of %s lost: %s", self.direct_url, self.lost)
         finally:
             self.alive = False
             self._responses.put(None)

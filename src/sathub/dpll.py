@@ -32,6 +32,14 @@ UNKNOWN = "UNKNOWN"
 # Longest learned clause, in literals, that an exporting solve sends to its memory.
 EXPORT_MAX_LEN = 2
 
+# Most variables a solve allocates for (about 185 bytes each); a view that
+# counts more answers UNKNOWN with TOO_MANY_VARIABLES.
+MAX_SOLVE_VARIABLES = 1 << 18
+
+
+class _TooManyVariables(Exception):
+    """The view counts more than ``MAX_SOLVE_VARIABLES`` variables."""
+
 
 class SolveControl:
     """Pause/resume/cancel signals observed by a running search; each one
@@ -392,28 +400,36 @@ def run(
     export: bool = False,
     on_decision: Optional[Callable[[int], None]] = None,
 ) -> SolveOutcome:
-    """Solve the CNF visible through ``view`` (a store or a memory mirror).
+    """Solve the CNF visible through ``view`` (a store, a mirror or a hub memory).
 
-    Returns SAT with a full model, UNSAT, or UNKNOWN after a cancel or with
-    ``MEMORY_UNAVAILABLE`` once the view is lost. At each decision boundary
-    the solver loads the clauses appended since a clause-count cursor; the
-    first read, from 0, is the snapshot. With ``export`` enabled, learned
-    clauses of at most ``EXPORT_MAX_LEN`` literals are pushed back to the
-    view. A SAT model is checked against every clause taken before it is
-    returned.
+    Returns SAT with a full model, UNSAT, or UNKNOWN after a cancel, with
+    ``MEMORY_UNAVAILABLE`` once the view is lost, or with
+    ``TOO_MANY_VARIABLES`` before it allocates for more than
+    ``MAX_SOLVE_VARIABLES`` (at the start or at any poll). At each decision
+    boundary the solver loads the clauses appended since a clause-count
+    cursor; the first read, from 0, is the snapshot. With ``export``
+    enabled, learned clauses of at most ``EXPORT_MAX_LEN`` literals are
+    pushed back to the view. A SAT model is checked against every clause
+    taken before it is returned.
     """
     settings = settings or DiversificationSettings()
-    solver = DpllSolver(view.var_count)
+    count = view.var_count
+    if count > MAX_SOLVE_VARIABLES:
+        return SolveOutcome(UNKNOWN, error="TOO_MANY_VARIABLES")
+    solver = DpllSolver(count)
     taken: list[tuple[int, ...]] = []
     cursor = 0
 
     def poll_live() -> list:
-        nonlocal cursor
+        nonlocal count, cursor
         if getattr(view, "alive", True) is False:
             raise ConnectionError("memory view lost")
         fresh, cursor = view.clauses_since(cursor)
+        count = view.var_count
+        if count > MAX_SOLVE_VARIABLES:
+            raise _TooManyVariables
         if fresh:
-            solver.ensure_vars(view.var_count)
+            solver.ensure_vars(count)
             taken.extend(fresh)
         return fresh
 
@@ -430,12 +446,15 @@ def run(
             poll_clauses=poll_live,
             exporter=exporter,
         )
+    except _TooManyVariables:
+        return SolveOutcome(UNKNOWN, error="TOO_MANY_VARIABLES")
     except ConnectionError:
         return SolveOutcome(UNKNOWN, error="MEMORY_UNAVAILABLE")
     except Exception as exc:  # surface as UNKNOWN per solver contract
         return SolveOutcome(UNKNOWN, error=str(exc))
     if outcome.result == SAT:
-        model = outcome.model + [False] * (view.var_count - len(outcome.model))
+        # the last poll's count: the search polls just before it answers SAT
+        model = outcome.model + [False] * (count - len(outcome.model))
         if not _satisfies(model, taken):
             return SolveOutcome(UNKNOWN, error="MODEL_CHECK_FAILED")
         outcome = SolveOutcome(SAT, model=model)

@@ -184,6 +184,13 @@ class ServerNode:
         self._httpd.server_close()
         self.memory.shutdown()
 
+    def _solve_target(self, argument: dict):
+        """What a solve of ``argument["satMemoryUrl"]`` reads: the memory itself
+        when the URL is exactly a live memory's ``directUrl`` on this node,
+        otherwise the URL, which the worker mirrors."""
+        url = _memory_url(argument)
+        return self.memory.by_url(url) or url
+
     def handle_web_call(self, envelope) -> dict:
         """Route one envelope to the memory service, a solver, or the kernel.
 
@@ -240,7 +247,7 @@ class ServerNode:
                     timeout = _timeout(argument)
                     diversification = _diversification(argument)
                     outcome = worker.solve(
-                        _memory_url(argument),
+                        self._solve_target(argument),
                         timeout=timeout,
                         diversification=diversification,
                         web_pid=web_pid,
@@ -260,7 +267,7 @@ class ServerNode:
                         solver_id=_solver_id(item),
                         timeout=_timeout(item),
                         diversification=diversification,
-                        memory=_memory_url(item),
+                        memory=self._solve_target(item),
                     )
                     for item, diversification in zip(items, settings)
                 ]

@@ -172,6 +172,7 @@ class MemoryObject:
         self.parent = parent
         self.children: list[MemoryObject] = []
         self.peers: list[FrameWriter] = []
+        self.alive = True  # False once deleted
         if parent is None:
             self.family = Family(self)
         else:
@@ -185,6 +186,15 @@ class MemoryObject:
         self._listener.listen(16)
         self.direct_url = f"tcp://{service.host}:{self._listener.getsockname()[1]}"
         threading.Thread(target=self._accept_loop, daemon=True).start()
+
+    # -- dpll.run view, read by a worker of this node; exports use add_clause --
+
+    @property
+    def var_count(self) -> int:
+        return self.view.var_count
+
+    def clauses_since(self, cursor: int = 0):
+        return self.view.clauses_since(cursor)
 
     # -- hub ---------------------------------------------------------------
 
@@ -334,6 +344,7 @@ class MemoryObject:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
+        self.alive = False
         try:
             # wakes _accept_loop, which would otherwise pin this object forever
             self._listener.shutdown(socket.SHUT_RDWR)
@@ -371,6 +382,11 @@ class MemoryService:
     def get(self, object_id: str) -> Optional[MemoryObject]:
         with self._lock:
             return self._objects.get(object_id)
+
+    def by_url(self, direct_url: str) -> Optional[MemoryObject]:
+        """The live memory whose ``directUrl`` is exactly ``direct_url``, if any."""
+        with self._lock:
+            return next((o for o in self._objects.values() if o.direct_url == direct_url), None)
 
     def fork_memory(self, obj: MemoryObject, detach: bool) -> MemoryObject:
         """A new memory holding a copy of ``obj``'s store; unless ``detach``,

@@ -1,8 +1,11 @@
+import logging
+import socket
 import threading
 import time
 
 import pytest
 
+from sathub import wire
 from sathub.client import connect
 from sathub.service import MemoryService
 
@@ -172,5 +175,47 @@ def test_mirror_evaluate_delegates(service):
     try:
         assert mirror.evaluate([True, False]) is True
         assert mirror.evaluate([False, False]) is False
+    finally:
+        mirror.close()
+
+
+def test_mirror_keeps_why_its_stream_ended_and_logs_a_protocol_fault(caplog):
+    listener = socket.create_server(("127.0.0.1", 0))
+    accepted = []
+
+    def hub():
+        sock, _ = listener.accept()
+        accepted.append(sock)
+        sock.sendall(wire.encode_snapshot(1, [[1]]) + bytes([0x55]))
+
+    thread = threading.Thread(target=hub, daemon=True)
+    thread.start()
+    caplog.set_level(logging.WARNING, logger="sathub.client")
+    mirror = connect(f"tcp://127.0.0.1:{listener.getsockname()[1]}")
+    try:
+        assert wait_until(lambda: not mirror.alive)
+        assert mirror.lost == "MalformedFrame: unknown opcode 0x55"
+        records = [r for r in caplog.records if r.name == "sathub.client"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert mirror.lost in records[0].getMessage()
+    finally:
+        thread.join(timeout=5)
+        for sock in accepted:
+            sock.close()
+        mirror.close()
+        listener.close()
+
+
+def test_mirror_of_a_deleted_memory_is_lost_cleanly_without_a_log(service, caplog):
+    caplog.set_level(logging.WARNING, logger="sathub.client")
+    obj = service.create_memory(1)
+    mirror = connect(obj.direct_url)
+    try:
+        assert mirror.lost is None
+        service.delete_memory(obj.object_id)
+        assert wait_until(lambda: not mirror.alive)
+        assert mirror.lost.startswith("ConnectionClosed: ")
+        assert not [r for r in caplog.records if r.name == "sathub.client"]
     finally:
         mirror.close()
