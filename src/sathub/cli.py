@@ -208,7 +208,7 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     outcome = run_solver(store)
-    print(outcome.result)
+    print(f"{outcome.result}{f' ({outcome.error})' if outcome.error else ''}")
     if outcome.result == "SAT":
         lits = [i + 1 if v else -(i + 1) for i, v in enumerate(outcome.model)]
         print(" ".join(map(str, lits)) + " 0")

@@ -7,7 +7,9 @@ time; the hub never echoes them back. Clause sends are fire-and-forget.
 A variable reservation is one frame: the reader thread adds the block to
 the replica where it reads the index reply in the hub's ordered stream,
 then hands the reply to the waiting caller. Outbound frames are queued and
-sent, coalesced, by one writer thread.
+sent, coalesced, by one writer thread. Inbound, the snapshot and then
+each read's worth of frames are decoded together and applied in stream
+order.
 """
 
 from __future__ import annotations
@@ -97,17 +99,19 @@ class _DeadlineReader(io.RawIOBase):
         super().close()
 
 
-def _read_snapshot(stream) -> tuple[int, list[list[int]]]:
-    """The variable count and clauses of the SNAPSHOT frame that opens a stream."""
+def _read_snapshot(batches) -> tuple[int, list[list[int]], list]:
+    """The variable count and clauses of the SNAPSHOT frame that opens a
+    stream, and the messages read after it."""
     try:
-        opcode, payload = wire.read_message(stream)
+        messages = next(batches)
     except wire.MalformedFrame as exc:
         raise MirrorProtocolError(f"bad snapshot: {exc}") from None
+    opcode, payload = messages[0]
     if opcode != wire.SNAPSHOT:
         raise MirrorProtocolError(f"expected snapshot on connect, got opcode {opcode}")
     if not _snapshot_in_range(*payload):
         raise MirrorProtocolError("snapshot holds an empty clause or a literal out of range")
-    return payload
+    return (*payload, messages[1:])
 
 
 class MemoryMirror:
@@ -128,8 +132,9 @@ class MemoryMirror:
         self._responses: queue.Queue = queue.Queue()
         self._reserving: deque = deque()  # sizes of reservations awaiting their index
 
+        self._batches = wire.read_batches(self._stream.read1)
         try:
-            var_count, clauses = _read_snapshot(self._stream)
+            var_count, clauses, rest = _read_snapshot(self._batches)
         except BaseException:
             self._stream.close()
             sock.close()
@@ -140,7 +145,7 @@ class MemoryMirror:
         # the hub's clauses are already canonical and distinct
         self.store._extend_canonical([tuple(c) for c in clauses])
 
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
+        self._reader = threading.Thread(target=self._read_loop, args=(rest,), daemon=True)
         self._reader.start()
         self._writer = FrameWriter(sock, socket.SHUT_WR)
 
@@ -168,18 +173,11 @@ class MemoryMirror:
 
     # -- channel ---------------------------------------------------------------
 
-    def _read_loop(self) -> None:
+    def _read_loop(self, messages: list) -> None:
         try:
             while True:
-                opcode, payload = wire.read_message(self._stream)
-                if opcode == wire.ADD_CLAUSE:
-                    self.store.add_clause(payload)
-                elif opcode == wire.ADD_VARS:
-                    self.store.add_variables(payload)
-                else:
-                    if opcode in (wire.FIRST_INDEX, wire.VAR_INDEX):
-                        self._apply_reservation(payload)  # before the caller sees it
-                    self._responses.put((opcode, payload))
+                self._apply(messages)
+                messages = next(self._batches)
         except wire.ConnectionClosed as exc:
             self.lost = f"ConnectionClosed: {exc}"
         except (wire.MalformedFrame, OSError, ValueError) as exc:
@@ -189,6 +187,19 @@ class MemoryMirror:
         finally:
             self.alive = False
             self._responses.put(None)
+
+    def _apply(self, messages: list) -> None:
+        """Apply one read's messages to the replica, in stream order."""
+        store = self.store
+        for opcode, payload in messages:
+            if opcode == wire.ADD_CLAUSE:
+                store.add_clause(payload)
+            elif opcode == wire.ADD_VARS:
+                store.add_variables(payload)
+            else:
+                if opcode in (wire.FIRST_INDEX, wire.VAR_INDEX):
+                    self._apply_reservation(payload)  # before the caller sees it
+                self._responses.put((opcode, payload))
 
     def _apply_reservation(self, first: int) -> None:
         """Add the oldest reservation's block at its place in the hub's stream.

@@ -13,9 +13,21 @@ class ClauseRangeError(ValueError):
 
 def canonical_clause(literals: Iterable[int]) -> tuple[int, ...]:
     """Canonical form: duplicates removed, ascending |var|, negative first on polarity ties."""
+    clause = tuple(literals)
+    last = 0
+    for lit in clause:
+        if type(lit) is not int:
+            break
+        magnitude = lit if lit > 0 else -lit
+        if magnitude <= last:
+            break
+        last = magnitude
+    else:
+        if last:
+            return clause  # already canonical: ints of strictly rising magnitude
     out = []
     seen = set()
-    for lit in literals:
+    for lit in clause:
         if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
             raise ValueError(f"invalid literal: {lit!r}")
         if lit not in seen:
@@ -65,9 +77,9 @@ class CnfStore:
         """``add_clause`` for a clause already in ``canonical_clause`` form."""
         with self.lock:
             bound = self.var_count
-            for lit in clause:
-                if abs(lit) > bound:
-                    raise ClauseRangeError(f"literal {lit} out of range (var count {bound})")
+            if abs(clause[-1]) > bound:  # a canonical clause ends with its largest variable
+                lit = next(lit for lit in clause if abs(lit) > bound)
+                raise ClauseRangeError(f"literal {lit} out of range (var count {bound})")
             if clause in self._seen:
                 return False
             self._seen.add(clause)

@@ -4,7 +4,11 @@ Each memory object (an origin memory or a fork) gets its own TCP listener;
 its ``directUrl`` is the address of that socket. A new connection receives
 a full snapshot first, then every state change exactly once. Clause and
 variable additions from one peer are applied to the store and rebroadcast
-to all other peers; the originator is never echoed.
+to all other peers; the originator is never echoed. Each connection's
+thread reads whatever bytes its socket has ready and applies the frames
+they complete in order: a run of ``ADD_CLAUSE`` frames in one hub-lock
+section, with one error reply per bad clause, and the clauses it newly
+stores sent on to each other peer as one write.
 
 A fork starts as a copy of its parent's store. The hub keeps an attached
 fork fed: every clause its parent newly stores is applied to the fork's
@@ -28,6 +32,8 @@ import socket
 import threading
 import uuid
 from collections import deque
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from . import wire
@@ -217,37 +223,40 @@ class MemoryObject:
         with self.family.lock:
             conn.send(self._snapshot_frame())
             self.peers.append(conn)
-        stream = conn.sock.makefile("rb")
         try:
-            while True:
-                try:
-                    opcode, payload = wire.read_message(stream)
-                except wire.ConnectionClosed:
+            for messages in wire.read_batches(conn.sock.recv):
+                if not self._apply_frames(conn, messages):
                     return
-                except (wire.MalformedFrame, OSError) as exc:
-                    conn.send(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
-                    return
-                if not self._dispatch(conn, opcode, payload):
-                    return
+        except wire.ConnectionClosed:
+            return
+        except (wire.MalformedFrame, OSError) as exc:
+            conn.send(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
+            return
         finally:
             with self.family.lock:
                 if conn in self.peers:
                     self.peers.remove(conn)
             self.family.unlock_vars(conn)
             conn.close()
-            stream.close()
+
+    def _apply_frames(self, conn: FrameWriter, messages: list) -> bool:
+        """Handle one read's frames in order, each run of ``ADD_CLAUSE`` frames
+        as one batch; False closes the connection."""
+        for opcode, run in groupby(messages, itemgetter(0)):
+            if opcode == wire.ADD_CLAUSE:
+                for outcome in self.add_clauses([literals for _, literals in run], origin=conn):
+                    if isinstance(outcome, ClauseRangeError):
+                        conn.send(wire.encode_error(wire.ERR_OUT_OF_RANGE, str(outcome)))
+                    elif isinstance(outcome, ValueError):
+                        conn.send(wire.encode_error(wire.ERR_MALFORMED, str(outcome)))
+            else:
+                for _, payload in run:
+                    if not self._dispatch(conn, opcode, payload):
+                        return False
+        return True
 
     def _dispatch(self, conn: FrameWriter, opcode: int, payload) -> bool:
-        """Handle one frame; False closes the connection."""
-        if opcode == wire.ADD_CLAUSE:
-            try:
-                self.add_clause(payload, origin=conn)
-            except ClauseRangeError as exc:
-                conn.send(wire.encode_error(wire.ERR_OUT_OF_RANGE, str(exc)))
-            except ValueError as exc:
-                conn.send(wire.encode_error(wire.ERR_MALFORMED, str(exc)))
-            return True
-
+        """Handle one frame other than ``ADD_CLAUSE``; False closes the connection."""
         if opcode in (wire.ADD_VARIABLE, wire.ADD_VARS):
             n = 1 if opcode == wire.ADD_VARIABLE else payload
             if n < 1:
@@ -288,12 +297,41 @@ class MemoryObject:
 
         Raises ``ClauseRangeError`` out of range, ``ValueError`` if malformed.
         """
-        clause = canonical_clause(literals)
+        (outcome,) = self.add_clauses([literals], origin)
+        if isinstance(outcome, ValueError):
+            raise outcome
+        return outcome
+
+    def add_clauses(self, batch: list, origin: Optional[FrameWriter] = None) -> list:
+        """Add clauses in order in one hub-lock section, and broadcast the newly
+        stored ones, in that order, to every peer that newly sees them but ``origin``.
+
+        Returns one outcome per clause: True if stored now, False if already
+        held, or the ``ValueError`` (``ClauseRangeError`` out of range) that
+        refused it.
+        """
+        outcomes: list = []
+        for literals in batch:
+            try:
+                outcomes.append(canonical_clause(literals))
+            except ValueError as exc:
+                outcomes.append(exc)
+        fresh = []
+        add = self.view._add_canonical
         with self.family.lock:
-            added = self.view._add_canonical(clause)
-            if added:
-                self._broadcast_clause(clause, exclude=origin)
-        return added
+            for i, clause in enumerate(outcomes):
+                if not isinstance(clause, tuple):
+                    continue
+                try:
+                    outcomes[i] = added = add(clause)
+                except ClauseRangeError as exc:
+                    outcomes[i] = exc
+                    continue
+                if added:
+                    fresh.append(clause)
+            if fresh:
+                self._broadcast_clauses(fresh, exclude=origin)
+        return outcomes
 
     def add_variables(self, n: int, origin: Optional[FrameWriter] = None, reply=None) -> int:
         """Add ``n`` variables to every store of the family and broadcast them; returns the first.
@@ -325,21 +363,23 @@ class MemoryObject:
                 origin.send(reply(first))
         return first
 
-    def _broadcast_clause(
-        self, clause: tuple, exclude: Optional[FrameWriter], data: Optional[bytes] = None
+    def _broadcast_clauses(
+        self, clauses: list, exclude: Optional[FrameWriter], data: Optional[bytes] = None
     ) -> None:
-        """Send a newly stored clause to the peers, and feed it to each attached
-        fork that does not hold it yet; caller holds the lock.
+        """Send newly stored clauses to the peers as one run of frames, and feed
+        each attached fork the ones it does not hold yet; caller holds the lock.
 
-        The frame is encoded once, and only if some peer receives it."""
+        The frames are encoded once, and only if some peer receives them."""
         for peer in self.peers:
             if peer is not exclude:
                 if data is None:
-                    data = wire.encode_add_clause(clause)
+                    data = b"".join(map(wire.encode_add_clause, clauses))
                 peer.send(data)
         for child in self.children:
-            if child.view._add_canonical(clause):
-                child._broadcast_clause(clause, exclude, data)
+            fresh = [clause for clause in clauses if child.view._add_canonical(clause)]
+            if fresh:
+                same = len(fresh) == len(clauses)
+                child._broadcast_clauses(fresh, exclude, data if same else None)
 
     # -- lifecycle -----------------------------------------------------------
 

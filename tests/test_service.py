@@ -492,6 +492,51 @@ def test_malformed_frame_closes_connection(service):
     sock.close()
 
 
+def recorded_adds(mirror):
+    """The clause of each ``ADD_CLAUSE`` frame the hub sends ``mirror`` from now on."""
+    log = []
+    add = mirror.store.add_clause
+    mirror.store.add_clause = lambda literals: log.append(list(literals)) or add(literals)
+    return log
+
+
+def test_one_read_of_clause_frames_is_applied_in_order_with_an_error_per_bad_clause(service):
+    origin = service.create_memory(3)
+    fork = service.fork_memory(origin, detach=False)
+    watcher = connect(origin.direct_url)
+    fork_mirror = connect(fork.direct_url)
+    received = [recorded_adds(watcher), recorded_adds(fork_mirror)]
+    host, port = parse_direct_url(origin.direct_url)
+    sock = socket.create_connection((host, port))
+    stream = sock.makefile("rb")
+    try:
+        assert wire.read_message(stream)[0] == wire.SNAPSHOT
+        sock.sendall(
+            wire.encode_add_clause([-2, 1])
+            + wire.encode_add_clause([9])  # out of range
+            + wire.encode_add_clause([])  # count 0
+            + wire.encode_add_clause([1, -2])  # a duplicate
+            + wire.encode_add_clause([3])
+            + b"\x42"
+        )
+        replies = [wire.read_message(stream) for _ in range(3)]
+        assert [(opcode, code) for opcode, (code, _) in replies] == [
+            (wire.ERROR, wire.ERR_OUT_OF_RANGE),
+            (wire.ERROR, wire.ERR_MALFORMED),
+            (wire.ERROR, wire.ERR_MALFORMED),
+        ]
+        with pytest.raises(wire.ConnectionClosed):
+            wire.read_message(stream)
+        assert origin.view.clauses() == [[1, -2], [3]]
+        assert fork.view.clauses() == [[1, -2], [3]]
+        assert wait_until(lambda: all(len(log) == 2 for log in received))
+        time.sleep(0.1)
+        assert received == [[[1, -2], [3]], [[1, -2], [3]]]
+    finally:
+        stream.close(); sock.close()
+        watcher.close(); fork_mirror.close()
+
+
 def test_out_of_range_clause_direct(service):
     obj = service.create_memory(3)
     mirror = connect(obj.direct_url)
@@ -587,7 +632,7 @@ def test_origin_clause_shadowed_by_fork_local_not_rebroadcast(service):
         assert wait_until(lambda: [1] in fork.view.clauses())
         origin.view.add_clause([1])
         with origin.view.lock:
-            origin._broadcast_clause((1,), exclude=None)
+            origin._broadcast_clauses([(1,)], exclude=None)
         time.sleep(0.1)
         # the fork mirror saw [1] exactly once (its own local add)
         assert fork_mirror.clauses().count([1]) == 1

@@ -74,4 +74,4 @@ def test_cli_solve_of_a_widest_header_answers_unknown(tmp_path, capsys):
     path = tmp_path / "wide.cnf"
     path.write_text(f"p cnf {wire.MAX_VARIABLE} 1\n1 0\n")
     assert main(["solve", str(path)]) == 30
-    assert capsys.readouterr().out.strip() == "UNKNOWN"
+    assert capsys.readouterr().out.strip() == "UNKNOWN (TOO_MANY_VARIABLES)"
