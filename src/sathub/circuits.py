@@ -10,62 +10,96 @@ One constant variable, pinned true, gives both constants.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .cnf import ClauseRangeError
 from .exprs import AND, CONST, EQUIV, IMPL, MAJ3, NOT, OR, VAR, XOR, ExprNode
 
 
 class CircuitBuilder:
-    """Emits Tseitin-style gates into a SAT memory view or mirror.
+    """Builds Tseitin-style gates over a SAT memory view or mirror, then
+    writes them in one go at ``finalize``.
 
     The gates are AND (``and_many``), XOR and MAJ3; every other connective
     is one of them with negated inputs or output.
 
-    Variable allocation goes through ``reserve_variables`` when the target
-    offers it (remote mirrors) in chunks, to amortize round trips;
-    plain views allocate one variable at a time. Call ``finalize`` when a
-    build is complete so leftover reserved variables get pinned false.
+    A build does not touch the memory until ``finalize``. Variables
+    ``1..base`` (the memory's count when the builder is made) are the
+    inputs; gate variables are numbered ``base + 1, base + 2, ...`` from a
+    local counter, and clauses wait in a list. ``finalize`` reserves every
+    gate variable in one call (``reserve_variables`` on a mirror, one
+    ``ADD_VARS`` round trip; ``add_variables`` on a store), renumbers the
+    gates if another writer grew the memory meanwhile, and then sends the
+    clauses one at a time. So a build that raises before ``finalize``
+    writes nothing, and a build through a mirror writes exactly the
+    instance a local build writes. An ``alloc_chunk`` above 1 rounds the
+    reservation up to a multiple of itself and pins the extra variables
+    false.
     """
 
-    def __init__(self, memory, alloc_chunk: Optional[int] = None) -> None:
-        self.memory = memory
-        self._reserve = getattr(memory, "reserve_variables", None)
+    def __init__(self, memory, alloc_chunk: int | None = 1) -> None:
+        self._reserve = getattr(memory, "reserve_variables", None) or memory.add_variables
         self._add = getattr(memory, "add_clause_direct", None) or memory.add_clause
-        if alloc_chunk is None:
-            alloc_chunk = 64 if self._reserve is not None else 1
-        self._chunk = max(1, alloc_chunk)
-        self._pool_next = 0
-        self._pool_end = -1
+        self._chunk = max(1, alloc_chunk or 1)  # None, like 1, reserves exactly
+        self.base = memory.var_count
+        self._last = self.base  # the last gate variable numbered
+        self._pending: list[list[int]] = []
         self._cache: dict[tuple, int] = {}
         self._true = 0  # the constant variable; 0, which is no literal, until first use
         self.vars_allocated = 0
         self.clauses_added = 0
 
-    # -- allocation ------------------------------------------------------
+    # -- allocation and output -------------------------------------------
 
     def fresh_var(self) -> int:
-        if self._pool_next > self._pool_end:
-            if self._reserve is not None:
-                first = self._reserve(self._chunk)
-            else:
-                first = self.memory.add_variables(self._chunk)
-            self._pool_next = first
-            self._pool_end = first + self._chunk - 1
-        var = self._pool_next
-        self._pool_next += 1
+        self._last += 1
         self.vars_allocated += 1
-        return var
+        return self._last
 
-    def finalize(self) -> None:
-        """Pin unused reserved variables false so they stay determined."""
-        while self._pool_next <= self._pool_end:
-            self.add_clause([-self._pool_next])
-            self._pool_next += 1
-
-    def add_clause(self, literals: Sequence[int]) -> None:
-        self._add(literals)
+    def add_clause(self, literals: list[int]) -> None:
+        """Queue a clause for ``finalize``, which writes this very list then."""
+        self._pending.append(literals)
         self.clauses_added += 1
+
+    def finalize(self) -> list[list[int]]:
+        """Write the build to the memory; returns the clauses written, in order.
+
+        Gate literals handed out before a ``finalize`` that had to renumber
+        them (because another writer grew the memory) are stale; the
+        returned clauses and later gates use the new numbers. The builder
+        may go on building after it, and the next ``finalize`` writes what
+        was added since.
+        """
+        count = self._last - self.base
+        if count:
+            reserved = -(-count // self._chunk) * self._chunk
+            first = self._reserve(reserved)
+            if first != self.base + 1:
+                self._renumber(first - self.base - 1)
+            for var in range(first + count, first + reserved):
+                self.add_clause([-var])
+            self.base = self._last = first + reserved - 1
+        clauses, self._pending = self._pending, []
+        add = self._add
+        for clause in clauses:
+            add(clause)
+        return clauses
+
+    def _renumber(self, shift: int) -> None:
+        """Move every gate variable queued since the last ``finalize`` up by ``shift``."""
+        base = self.base
+
+        def move(lit):
+            if -base <= lit <= base:
+                return lit
+            return lit + shift if lit > 0 else lit - shift
+
+        self._pending = [[move(lit) for lit in clause] for clause in self._pending]
+        self._cache = {
+            tuple(move(k) if isinstance(k, int) else k for k in key): move(gate)
+            for key, gate in self._cache.items()
+        }
+        self._true = move(self._true)
 
     # -- constants ---------------------------------------------------------
 
@@ -209,10 +243,9 @@ def build_expression_circuit(root: ExprNode, builder: CircuitBuilder) -> int:
             return memo[key]
         kind = node.kind
         if kind == VAR:
-            if node.var_index > builder.memory.var_count:
+            if node.var_index > builder.base:
                 raise ClauseRangeError(
-                    f"variable x{node.var_index} beyond memory var count "
-                    f"{builder.memory.var_count}"
+                    f"variable x{node.var_index} beyond memory var count {builder.base}"
                 )
             lit = node.var_index
         elif kind == CONST:

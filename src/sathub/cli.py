@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from . import dimacs
 from .client import connect
@@ -51,8 +52,6 @@ def cmd_serve(args) -> int:
     print(f"export {ENDPOINT_ENV}={node.endpoint} for the factor command")
     try:
         while True:
-            import time
-
             time.sleep(3600)
     except KeyboardInterrupt:
         node.stop()
@@ -76,7 +75,7 @@ def cmd_encode(args) -> int:
         try:
             layout = build_factorization(spec, mirror)
             vars_total = mirror.var_count
-            clauses_total = len(mirror.clauses())
+            clauses_total = mirror.version
         finally:
             mirror.close()
     else:
@@ -90,7 +89,7 @@ def cmd_encode(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(dimacs.dumps(store, comments=comments))
         vars_total = store.var_count
-        clauses_total = len(store.clauses())
+        clauses_total = store.version
 
     print(f"variables: {vars_total}")
     print(f"clauses:   {clauses_total}")

@@ -142,18 +142,10 @@ def lower_to_cnf(formula: ExprNode, view) -> list[list[int]]:
     """
     from .circuits import CircuitBuilder, build_expression_circuit  # circuits imports this module
 
-    emitted: list[list[int]] = []
-
-    class RecordingBuilder(CircuitBuilder):
-        def add_clause(self, literals) -> None:
-            super().add_clause(literals)
-            emitted.append(list(literals))
-
     needed = formula.max_var()
     if view.var_count < needed:
         grow = getattr(view, "reserve_variables", None) or view.add_variables
         grow(needed - view.var_count)
-    builder = RecordingBuilder(view)
+    builder = CircuitBuilder(view)
     builder.add_clause([build_expression_circuit(formula, builder)])
-    builder.finalize()
-    return emitted
+    return builder.finalize()

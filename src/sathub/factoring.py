@@ -54,13 +54,19 @@ class FactorizationSpec:
         return value
 
 
-def build_factorization(spec: FactorizationSpec, memory, alloc_chunk=None) -> dict:
+def build_factorization(spec: FactorizationSpec, memory, alloc_chunk: int | None = 1) -> dict:
     """Encode the factorization instance into ``memory``; returns the variable layout.
 
     The memory is grown to at least 2l variables; variables 1..l and l+1..2l
     become the u and v bits, each MSB first; ``uVars``/``vVars`` list them
     LSB first. Satisfying models decode to pairs (u, v) with
     u * v == product and 2 <= v <= u < 2**(l-1).
+
+    The circuit is built first and written by one ``CircuitBuilder.finalize``,
+    so a fresh mirror costs two round trips (the grow to 2l, then the gate
+    variables) and the node receives exactly the instance a local build
+    makes. ``alloc_chunk`` pads the gate reservation as ``CircuitBuilder``
+    describes.
     """
     l = spec.l
     if memory.var_count < 2 * l:

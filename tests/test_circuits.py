@@ -1,13 +1,17 @@
 import itertools
+import random
 
 import pytest
 
 from sathub.circuits import CircuitBuilder, build_expression_circuit
-from sathub.cnf import ClauseRangeError, CnfStore
+from sathub.client import connect
+from sathub.cnf import ClauseRangeError, CnfStore, canonical_clause
 from sathub.dpll import DpllSolver
 from sathub.exprs import ExprNode
+from sathub.service import MemoryService
 
-from oracles import cnf_models
+from gens import random_expr
+from oracles import cnf_models, expr_mask, table_context
 
 
 def fresh(n=4):
@@ -18,6 +22,7 @@ def fresh(n=4):
 def test_not_reuses_literal_no_clauses():
     store, ctx = fresh()
     out = build_expression_circuit(ExprNode.not_(ExprNode.var(1)), ctx)
+    ctx.finalize()
     assert out == -1
     assert store.clauses() == []
     assert ctx.clauses_added == 0
@@ -26,6 +31,7 @@ def test_not_reuses_literal_no_clauses():
 def test_and_of_identical_vars_folds():
     store, ctx = fresh()
     out = build_expression_circuit(ExprNode.and_(ExprNode.var(1), ExprNode.var(1)), ctx)
+    ctx.finalize()
     assert out == 1
     assert store.clauses() == []
 
@@ -33,8 +39,10 @@ def test_and_of_identical_vars_folds():
 def test_hash_consing_shares_gates():
     store, ctx = fresh()
     a = build_expression_circuit(ExprNode.and_(ExprNode.var(1), ExprNode.var(2)), ctx)
+    ctx.finalize()
     before = len(store.clauses())
     b = build_expression_circuit(ExprNode.and_(ExprNode.var(2), ExprNode.var(1)), ctx)
+    ctx.finalize()
     assert a == b
     assert len(store.clauses()) == before
 
@@ -42,6 +50,7 @@ def test_hash_consing_shares_gates():
 def test_xor_gate_models_exactly():
     store, ctx = fresh(2)
     t = build_expression_circuit(ExprNode.xor(ExprNode.var(1), ExprNode.var(2)), ctx)
+    ctx.finalize()
     assert t not in (1, 2, -1, -2)
     # exactly the assignments with t == x1 ^ x2 survive
     models = cnf_models(store.clauses(), store.var_count)
@@ -90,6 +99,7 @@ def test_gate_semantics_exhaustive():
         store = CnfStore(arity)
         ctx = CircuitBuilder(store)
         out = build(ctx)
+        ctx.finalize()
         for bits in itertools.product([False, True], repeat=arity):
             solver = DpllSolver(store.var_count)
             for clause in store.clause_tuples():
@@ -106,6 +116,7 @@ def test_n_ary_gates():
     store, ctx = fresh(4)
     expr = ExprNode.and_(*(ExprNode.var(i) for i in range(1, 5)))
     out = build_expression_circuit(expr, ctx)
+    ctx.finalize()
     models = cnf_models(store.clauses(), store.var_count)
     for model in models:
         value = model[out - 1] if out > 0 else not model[-out - 1]
@@ -129,6 +140,7 @@ def test_reserved_const_variables():
     store, ctx = fresh(1)
     t = ctx.true_lit
     f = ctx.false_lit
+    ctx.finalize()
     assert t != f
     assert [t] in store.clauses()
     assert [-f] in store.clauses()
@@ -137,8 +149,10 @@ def test_reserved_const_variables():
 def test_or_is_the_de_morgan_dual_of_and():
     store, ctx = fresh(2)
     out = ctx.or_(1, 2)
+    ctx.finalize()
     before = len(store.clauses())
     assert out == -ctx.and_(-1, -2)
+    ctx.finalize()
     assert len(store.clauses()) == before
     assert ctx.or_many([1, 2]) == out
 
@@ -147,5 +161,84 @@ def test_one_constant_variable():
     store, ctx = fresh(1)
     assert ctx.false_lit == -ctx.true_lit
     assert ctx.const(False) == -ctx.const(True)
+    ctx.finalize()
     assert store.var_count == 2
     assert store.clauses() == [[ctx.true_lit]]
+
+
+def projected_table(store, n):
+    """Truth table (as in ``oracles``) of the store's models projected onto x1..xn."""
+    solver = DpllSolver(store.var_count)
+    for clause in store.clause_tuples():
+        solver.add_clause(clause)
+    table = 0
+    while (outcome := solver.solve()).result == "SAT":
+        inputs = outcome.model[:n]
+        table |= 1 << sum(1 << i for i, bit in enumerate(inputs) if bit)
+        solver.add_clause([-(i + 1) if bit else i + 1 for i, bit in enumerate(inputs)])
+    return table
+
+
+def test_gates_move_past_variables_another_writer_adds_mid_build():
+    rng = random.Random(31)
+    service = MemoryService()
+    try:
+        for _ in range(12):
+            first, n = random_expr(rng, max_vars=8, size=15)
+            second, _ = random_expr(rng, max_vars=n, size=10)
+            obj = service.create_memory(n)
+            writer, other = connect(obj.direct_url), connect(obj.direct_url)
+            theirs = []
+            try:
+                ctx = CircuitBuilder(writer)
+                ctx.add_clause([build_expression_circuit(first, ctx)])
+                theirs.append(other.reserve_variables(5))
+                written = ctx.finalize()
+                # a second build on the same builder reuses the moved gates of the first
+                again = ExprNode.xor(first, second)
+                ctx.add_clause([build_expression_circuit(again, ctx)])
+                theirs.append(other.reserve_variables(3))
+                written += ctx.finalize()
+            finally:
+                writer.close()
+                other.close()
+            store = obj.view
+            other_vars = set(range(theirs[0], theirs[0] + 5)) | set(range(theirs[1], theirs[1] + 3))
+            assert not other_vars & {abs(lit) for c in store.clause_tuples() for lit in c}
+            assert set(store.clause_tuples()) == {canonical_clause(c) for c in written}
+            masks, full = table_context(n)
+            expected = expr_mask(ExprNode.and_(first, again), masks, full)
+            assert projected_table(store, n) == expected
+            service.delete_memory(obj.object_id)
+    finally:
+        service.shutdown()
+
+
+def failing_build(ctx):
+    # the XOR gate is built before x9, beyond the memory's 3 variables, raises
+    expr = ExprNode.and_(ExprNode.xor(ExprNode.var(1), ExprNode.var(2)), ExprNode.var(9))
+    with pytest.raises(ClauseRangeError):
+        build_expression_circuit(expr, ctx)
+
+
+def test_a_build_that_raises_writes_nothing_to_a_store():
+    store = CnfStore(3)
+    store.add_clause([1, 2])
+    failing_build(CircuitBuilder(store))
+    assert store.var_count == 3
+    assert store.clauses() == [[1, 2]]
+
+
+def test_a_build_that_raises_writes_nothing_through_a_mirror():
+    service = MemoryService()
+    try:
+        obj = service.create_memory(3)
+        mirror = connect(obj.direct_url)
+        try:
+            failing_build(CircuitBuilder(mirror))
+        finally:
+            mirror.close()
+        assert obj.view.var_count == 3
+        assert obj.view.version == 0
+    finally:
+        service.shutdown()

@@ -160,20 +160,23 @@ def test_cnf_models_project_bijectively():
 
 
 def test_lowering_into_a_live_mirror():
-    # the builder reserves gate variables 64 at a time; finalize() pins the leftovers
     rng = random.Random(101)
     service = MemoryService()
     try:
         for i in range(60):
             expr, n = random_expr(rng, max_vars=10, size=20)
             masks, full = table_context(n)
-            obj = service.create_memory(n if i % 2 else 0)
+            initial = n if i % 2 else 0
+            obj = service.create_memory(initial)
             mirror = connect(obj.direct_url)
             try:
                 clauses = lower_to_cnf(expr, mirror)
             finally:
                 mirror.close()
-            assert obj.view.var_count == mirror.var_count >= n
+            local = CnfStore(initial)
+            lower_to_cnf(expr, local)
+            # the inputs, then exactly the gate variables: no padding
+            assert obj.view.var_count == mirror.var_count == local.var_count
             assert set(obj.view.clause_tuples()) == {canonical_clause(c) for c in clauses}
             solver = DpllSolver(obj.view.var_count)
             for clause in obj.view.clause_tuples():

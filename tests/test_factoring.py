@@ -1,8 +1,10 @@
 import pytest
 
+from sathub.client import connect
 from sathub.cnf import CnfStore
 from sathub.dpll import DpllSolver, SolveControl, run
 from sathub.factoring import FactorizationSpec, build_factorization, decode_model
+from sathub.service import MemoryService
 
 from oracles import rup_refutes, two_factor_pairs
 
@@ -173,3 +175,43 @@ def test_time_to_answer_within_decision_budget(l, product, factors, budget):
     assert outcome.result == "SAT", (product, outcome.result)
     assert store.evaluate(outcome.model)
     assert decode_model(outcome.model, spec) == factors
+
+
+class CountingMirror:
+    """A mirror that counts the ``reserve_variables`` round trips a build makes."""
+
+    def __init__(self, mirror):
+        self.mirror = mirror
+        self.reserve_calls = 0
+
+    @property
+    def var_count(self):
+        return self.mirror.var_count
+
+    def reserve_variables(self, n):
+        self.reserve_calls += 1
+        return self.mirror.reserve_variables(n)
+
+    def add_clause_direct(self, literals):
+        return self.mirror.add_clause_direct(literals)
+
+
+@pytest.mark.parametrize(
+    "l, product, variables", [(8, 89 * 97, 241), (16, 181 * 32749, 993), (32, 4292870399, 4033)]
+)
+def test_a_remote_build_writes_the_local_instance_in_two_reservations(l, product, variables):
+    spec, local, _ = encode(l, product)
+    service = MemoryService()
+    try:
+        obj = service.create_memory(0)
+        mirror = connect(obj.direct_url)
+        counting = CountingMirror(mirror)
+        try:
+            build_factorization(spec, counting)
+        finally:
+            mirror.close()
+        assert counting.reserve_calls == 2  # the grow to 2l, then every gate variable
+        assert obj.view.var_count == local.var_count == variables
+        assert set(obj.view.clause_tuples()) == set(local.clause_tuples())
+    finally:
+        service.shutdown()
