@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cnf import ClauseRangeError
+from .cnf import ClauseRangeError, raise_first_error
 from .exprs import AND, CONST, EQUIV, IMPL, MAJ3, NOT, OR, VAR, XOR, ExprNode
 
 
@@ -29,16 +29,22 @@ class CircuitBuilder:
     local counter, and clauses wait in a list. ``finalize`` reserves every
     gate variable in one call (``reserve_variables`` on a mirror, one
     ``ADD_VARS`` round trip; ``add_variables`` on a store), renumbers the
-    gates if another writer grew the memory meanwhile, and then sends the
-    clauses one at a time. So a build that raises before ``finalize``
-    writes nothing, and a build through a mirror writes exactly the
-    instance a local build writes. An ``alloc_chunk`` above 1 rounds the
-    reservation up to a multiple of itself and pins the extra variables
-    false.
+    gates if another writer grew the memory meanwhile, and then writes the
+    clauses in one ``add_clauses`` call (one write of frames on a mirror).
+    So a build that raises before ``finalize`` writes nothing, and a build
+    through a mirror writes exactly the instance a local build writes. An
+    ``alloc_chunk`` above 1 rounds the reservation up to a multiple of
+    itself and pins the extra variables false.
+
+    The gates queue each clause canonical (``canonical_clause`` returns it
+    as it is): literals in ascending variable order, the gate literal last.
+    A gate variable is larger than its inputs, and renumbering shifts every
+    gate by the same amount, so the order holds after it too.
     """
 
     def __init__(self, memory, alloc_chunk: int | None = 1) -> None:
         self._reserve = getattr(memory, "reserve_variables", None) or memory.add_variables
+        self._add_batch = getattr(memory, "add_clauses", None)
         self._add = getattr(memory, "add_clause_direct", None) or memory.add_clause
         self._chunk = max(1, alloc_chunk or 1)  # None, like 1, reserves exactly
         self.base = memory.var_count
@@ -68,7 +74,7 @@ class CircuitBuilder:
         them (because another writer grew the memory) are stale; the
         returned clauses and later gates use the new numbers. The builder
         may go on building after it, and the next ``finalize`` writes what
-        was added since.
+        was added since. A clause the memory refuses raises its error.
         """
         count = self._last - self.base
         if count:
@@ -80,9 +86,12 @@ class CircuitBuilder:
                 self.add_clause([-var])
             self.base = self._last = first + reserved - 1
         clauses, self._pending = self._pending, []
-        add = self._add
-        for clause in clauses:
-            add(clause)
+        if self._add_batch is not None:
+            raise_first_error(self._add_batch(clauses))
+        else:  # a memory with a one-clause intake only
+            add = self._add
+            for clause in clauses:
+                add(clause)
         return clauses
 
     def _renumber(self, shift: int) -> None:
@@ -152,10 +161,10 @@ class CircuitBuilder:
         gate = self._cache.get(key)
         if gate is None:
             gate = self.fresh_var()
-            self.add_clause([-gate, x, y])
-            self.add_clause([-gate, -x, -y])
-            self.add_clause([gate, x, -y])
-            self.add_clause([gate, -x, y])
+            self.add_clause([x, y, -gate])
+            self.add_clause([-x, -y, -gate])
+            self.add_clause([x, -y, gate])
+            self.add_clause([-x, y, gate])
             self._cache[key] = gate
         return -gate if parity else gate
 
@@ -189,12 +198,11 @@ class CircuitBuilder:
         gate = self._cache.get(key)
         if gate is None:
             gate = self.fresh_var()
-            self.add_clause([-gate, a, b])
-            self.add_clause([-gate, a, c])
-            self.add_clause([-gate, b, c])
-            self.add_clause([gate, -a, -b])
-            self.add_clause([gate, -a, -c])
-            self.add_clause([gate, -b, -c])
+            pairs = [sorted(pair, key=abs) for pair in ((a, b), (a, c), (b, c))]
+            for x, y in pairs:
+                self.add_clause([x, y, -gate])
+            for x, y in pairs:
+                self.add_clause([-x, -y, gate])
             self._cache[key] = gate
         return -gate if flip else gate
 
@@ -214,13 +222,13 @@ class CircuitBuilder:
                 out.append(lit)
         if len(out) < 2:
             return out[0] if out else self.true_lit
-        key = tuple(sorted(out))
+        key = tuple(sorted(out, key=abs))
         gate = self._cache.get(key)
         if gate is None:
             gate = self.fresh_var()
             for lit in out:
-                self.add_clause([-gate, lit])
-            self.add_clause([gate] + [-lit for lit in out])
+                self.add_clause([lit, -gate])
+            self.add_clause([-lit for lit in key] + [gate])
             self._cache[key] = gate
         return gate
 

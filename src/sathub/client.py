@@ -3,13 +3,15 @@
 ``connect`` opens the direct socket named by a memory's ``directUrl``,
 applies the initial snapshot, and then mirrors every synchronization
 message. Locally added clauses are applied to the replica once at send
-time; the hub never echoes them back. Clause sends are fire-and-forget.
-A variable reservation is one frame: the reader thread adds the block to
-the replica where it reads the index reply in the hub's ordered stream,
-then hands the reply to the waiting caller. Outbound frames are queued and
-sent, coalesced, by one writer thread. Inbound, the snapshot and then
-each read's worth of frames are decoded together and applied in stream
-order.
+time; the hub never echoes them back. Clause sends are fire-and-forget,
+and a batch of clauses is applied in one replica-lock section and queued
+as one write, or, if one clause is refused, not at all. A variable
+reservation is one frame: the reader thread adds the block to the replica
+where it reads the index reply in the hub's ordered stream, then hands the
+reply to the waiting caller. Outbound frames are queued and sent,
+coalesced, by one writer thread. Inbound, the snapshot and then each
+read's worth of frames are decoded together and applied in stream order,
+each run of clauses in one batch.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import socket
 import threading
 import time
 from collections import deque
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 from . import wire
-from .cnf import ClauseRangeError, CnfStore, canonical_clause
+from .cnf import ClauseRangeError, CnfStore, canonical_outcomes, out_of_range, raise_first_error
 from .service import FrameWriter
 
 
@@ -189,17 +192,21 @@ class MemoryMirror:
             self._responses.put(None)
 
     def _apply(self, messages: list) -> None:
-        """Apply one read's messages to the replica, in stream order."""
+        """Apply one read's messages to the replica, in stream order, each run
+        of ``ADD_CLAUSE`` messages in one ``add_clauses`` call; a clause the
+        replica refuses raises its error, which ends the reader."""
         store = self.store
-        for opcode, payload in messages:
+        for opcode, run in groupby(messages, itemgetter(0)):
             if opcode == wire.ADD_CLAUSE:
-                store.add_clause(payload)
-            elif opcode == wire.ADD_VARS:
-                store.add_variables(payload)
-            else:
-                if opcode in (wire.FIRST_INDEX, wire.VAR_INDEX):
-                    self._apply_reservation(payload)  # before the caller sees it
-                self._responses.put((opcode, payload))
+                raise_first_error(store.add_clauses([literals for _, literals in run]))
+                continue
+            for _, payload in run:
+                if opcode == wire.ADD_VARS:
+                    store.add_variables(payload)
+                else:
+                    if opcode in (wire.FIRST_INDEX, wire.VAR_INDEX):
+                        self._apply_reservation(payload)  # before the caller sees it
+                    self._responses.put((opcode, payload))
 
     def _apply_reservation(self, first: int) -> None:
         """Add the oldest reservation's block at its place in the hub's stream.
@@ -254,10 +261,31 @@ class MemoryMirror:
 
     def add_clause_direct(self, literals) -> bool:
         """Validate locally, apply to the replica, and send (no acknowledgement)."""
-        clause = canonical_clause(literals)
-        added = self.store._add_canonical(clause)
-        self._send(wire.encode_add_clause(clause))
-        return added
+        return self.add_clauses([literals])[0]
+
+    def add_clauses(self, batch) -> list[bool]:
+        """Validate clauses locally, apply them to the replica in one lock
+        section, and send them as one write (no acknowledgement).
+
+        Returns, per clause, whether the replica stored it now; a clause it
+        already held is sent too, like any other. If a clause is refused,
+        raises its error (``ClauseRangeError`` out of range, ``ValueError``
+        if malformed) with nothing applied or sent.
+        """
+        clauses = canonical_outcomes(batch)
+        store = self.store
+        outcomes = list(clauses)
+        with store.lock:
+            bound = store.var_count
+            for clause in clauses:  # the first refused clause, in batch order
+                if type(clause) is not tuple:
+                    raise clause
+                if abs(clause[-1]) > bound:  # a canonical clause ends with its largest variable
+                    raise out_of_range(clause, bound)
+            store._add_canonical(outcomes)
+        if clauses:
+            self._send(b"".join(map(wire.encode_add_clause, clauses)))
+        return outcomes
 
     def add_variable(self) -> int:
         """Add one variable (``ADD_VARIABLE``); returns its index once the replica holds it."""

@@ -39,6 +39,31 @@ def canonical_clause(literals: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def canonical_outcomes(batch: Iterable[Iterable[int]]) -> list:
+    """Each clause's ``canonical_clause`` form, or the ``ValueError`` it raised."""
+    outcomes: list = []
+    for literals in batch:
+        try:
+            outcomes.append(canonical_clause(literals))
+        except ValueError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def out_of_range(clause: tuple[int, ...], bound: int) -> ClauseRangeError:
+    """The error for a canonical clause with a variable above ``bound``."""
+    lit = next(lit for lit in clause if abs(lit) > bound)
+    return ClauseRangeError(f"literal {lit} out of range (var count {bound})")
+
+
+def raise_first_error(outcomes: list) -> list:
+    """``outcomes`` of a batch intake, unless one is an error: then raise the first."""
+    for outcome in outcomes:
+        if isinstance(outcome, ValueError):
+            raise outcome
+    return outcomes
+
+
 class CnfStore:
     """One SAT memory: a monotone variable count and an append-only list of
     distinct canonical clauses, guarded by its own lock."""
@@ -71,20 +96,42 @@ class CnfStore:
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Canonicalize and store a clause; returns False if already stored."""
-        return self._add_canonical(canonical_clause(literals))
+        return raise_first_error(self.add_clauses([literals]))[0]
 
-    def _add_canonical(self, clause: tuple[int, ...]) -> bool:
-        """``add_clause`` for a clause already in ``canonical_clause`` form."""
+    def add_clauses(self, batch: Iterable[Iterable[int]]) -> list:
+        """Canonicalize clauses, outside the lock, and store them in order in
+        one lock section.
+
+        Returns one outcome per clause, as a loop of ``add_clause`` would
+        meet them: True if stored now, False if already held (earlier in the
+        batch too), or the ``ValueError`` (``ClauseRangeError`` out of range)
+        that refused it; a refused clause does not stop the ones after it.
+        """
+        outcomes = canonical_outcomes(batch)
+        self._add_canonical(outcomes)
+        return outcomes
+
+    def _add_canonical(self, outcomes: list) -> list[tuple[int, ...]]:
+        """The locked section of ``add_clauses``: replace each clause of
+        ``outcomes`` in ``canonical_clause`` form by its outcome, skipping
+        the errors already there; returns the clauses stored now, in order."""
+        fresh = []
         with self.lock:
             bound = self.var_count
-            if abs(clause[-1]) > bound:  # a canonical clause ends with its largest variable
-                lit = next(lit for lit in clause if abs(lit) > bound)
-                raise ClauseRangeError(f"literal {lit} out of range (var count {bound})")
-            if clause in self._seen:
-                return False
-            self._seen.add(clause)
-            self._clauses.append(clause)
-            return True
+            seen = self._seen
+            for i, clause in enumerate(outcomes):
+                if type(clause) is not tuple:
+                    continue
+                if abs(clause[-1]) > bound:  # a canonical clause ends with its largest variable
+                    outcomes[i] = out_of_range(clause, bound)
+                elif clause in seen:
+                    outcomes[i] = False
+                else:
+                    seen.add(clause)
+                    fresh.append(clause)
+                    outcomes[i] = True
+            self._clauses += fresh
+        return fresh
 
     def _extend_canonical(self, clauses: list[tuple[int, ...]]) -> None:
         """Append clauses that are canonical, distinct, in range and not yet

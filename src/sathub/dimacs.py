@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cnf import CnfStore
+from .cnf import CnfStore, raise_first_error
 
 
 class DimacsError(ValueError):
@@ -18,9 +18,10 @@ class DimacsDocument:
     comments: list[str] = field(default_factory=list)
 
     def to_store(self) -> CnfStore:
+        """A store of the document's clauses, loaded in one batch; raises the
+        first refused clause's error."""
         store = CnfStore(self.var_count)
-        for clause in self.clauses:
-            store.add_clause(clause)
+        raise_first_error(store.add_clauses(self.clauses))
         return store
 
 

@@ -96,16 +96,17 @@ def build_factorization(spec: FactorizationSpec, memory, alloc_chunk: int | None
     # ordering v <= u: as u * v == product, it holds exactly when v <= S =
     # floor(sqrt(product)), and then u >= C = ceil(sqrt(product)). Each is a
     # comparison with a constant, one clause per bit and no auxiliary variable.
+    # Bits are listed from the top down, which is ascending variable order.
     s = isqrt(spec.product)
     c = s if s * s == spec.product else s + 1
     for i in range(l):
         if not (s >> i) & 1:  # v may not set bit i and every bit above it where S has a 1
-            ctx.add_clause([-v[i]] + [-v[j] for j in range(i + 1, l) if (s >> j) & 1])
+            ctx.add_clause([-v[j] for j in range(l - 1, i, -1) if (s >> j) & 1] + [-v[i]])
     if c >> l:
         ctx.add_clause([ctx.false_lit])  # no l-bit u reaches C = 2**l
     for i in range(l):
         if (c >> i) & 1:  # u must set bit i or a bit above it where C has a 0
-            ctx.add_clause([u[i]] + [u[j] for j in range(i + 1, l) if not (c >> j) & 1])
+            ctx.add_clause([u[j] for j in range(l - 1, i, -1) if not (c >> j) & 1] + [u[i]])
 
     ctx.finalize()
     return {

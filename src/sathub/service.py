@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Optional
 
 from . import wire
-from .cnf import ClauseRangeError, CnfStore, canonical_clause
+from .cnf import ClauseRangeError, CnfStore, canonical_outcomes, raise_first_error
 
 # Seconds an explicit variable lock may be held before the hub force-releases it.
 LOCK_TIMEOUT = 10.0
@@ -297,10 +297,7 @@ class MemoryObject:
 
         Raises ``ClauseRangeError`` out of range, ``ValueError`` if malformed.
         """
-        (outcome,) = self.add_clauses([literals], origin)
-        if isinstance(outcome, ValueError):
-            raise outcome
-        return outcome
+        return raise_first_error(self.add_clauses([literals], origin))[0]
 
     def add_clauses(self, batch: list, origin: Optional[FrameWriter] = None) -> list:
         """Add clauses in order in one hub-lock section, and broadcast the newly
@@ -310,25 +307,9 @@ class MemoryObject:
         held, or the ``ValueError`` (``ClauseRangeError`` out of range) that
         refused it.
         """
-        outcomes: list = []
-        for literals in batch:
-            try:
-                outcomes.append(canonical_clause(literals))
-            except ValueError as exc:
-                outcomes.append(exc)
-        fresh = []
-        add = self.view._add_canonical
+        outcomes = canonical_outcomes(batch)  # outside the hub lock
         with self.family.lock:
-            for i, clause in enumerate(outcomes):
-                if not isinstance(clause, tuple):
-                    continue
-                try:
-                    outcomes[i] = added = add(clause)
-                except ClauseRangeError as exc:
-                    outcomes[i] = exc
-                    continue
-                if added:
-                    fresh.append(clause)
+            fresh = self.view._add_canonical(outcomes)
             if fresh:
                 self._broadcast_clauses(fresh, exclude=origin)
         return outcomes
@@ -376,7 +357,7 @@ class MemoryObject:
                     data = b"".join(map(wire.encode_add_clause, clauses))
                 peer.send(data)
         for child in self.children:
-            fresh = [clause for clause in clauses if child.view._add_canonical(clause)]
+            fresh = child.view._add_canonical(list(clauses))
             if fresh:
                 same = len(fresh) == len(clauses)
                 child._broadcast_clauses(fresh, exclude, data if same else None)

@@ -69,7 +69,8 @@ def encode_add_variable() -> bytes:
 
 
 def encode_add_clause(literals: Sequence[int]) -> bytes:
-    return struct.pack(f"<BI{len(literals)}i", ADD_CLAUSE, len(literals), *literals)
+    count = len(literals)
+    return _CLAUSE_FRAME[count](ADD_CLAUSE, count, *literals)
 
 
 def encode_lock_vars() -> bytes:
@@ -104,7 +105,8 @@ def encode_snapshot(var_count: int, clauses: Iterable[Sequence[int]]) -> bytes:
     """One SNAPSHOT frame; ``clauses`` may be any iterable, read once."""
     parts = [b""]
     for clause in clauses:
-        parts.append(struct.pack(f"<I{len(clause)}i", len(clause), *clause))
+        count = len(clause)
+        parts.append(_SNAPSHOT_CLAUSE[count](count, *clause))
     parts[0] = struct.pack("<BII", SNAPSHOT, var_count, len(parts) - 1)
     return b"".join(parts)
 
@@ -117,18 +119,25 @@ def encode_error(code: int, message: str) -> bytes:
 _U32 = struct.Struct("<I").unpack_from
 
 
-class _LiteralUnpackers(dict):
-    """``unpack_from`` for ``count`` i32 literals, by count; a short count's
-    format is compiled once."""
+class _ByCount(dict):
+    """A ``struct.Struct`` method for a format of ``count`` i32 literals, by
+    count; a short count's format is compiled once."""
+
+    def __init__(self, fmt: str, method: str) -> None:
+        super().__init__()
+        self._fmt = fmt
+        self._method = method
 
     def __missing__(self, count: int):
-        unpack = struct.Struct(f"<{count}i").unpack_from
+        func = getattr(struct.Struct(self._fmt.format(count)), self._method)
         if count <= 64:
-            self[count] = unpack
-        return unpack
+            self[count] = func
+        return func
 
 
-_LITERALS = _LiteralUnpackers()
+_LITERALS = _ByCount("<{}i", "unpack_from")
+_CLAUSE_FRAME = _ByCount("<BI{}i", "pack")
+_SNAPSHOT_CLAUSE = _ByCount("<I{}i", "pack")
 
 
 class FrameDecoder:

@@ -8,6 +8,7 @@ from sathub.client import connect
 from sathub.cnf import ClauseRangeError, CnfStore, canonical_clause
 from sathub.dpll import DpllSolver
 from sathub.exprs import ExprNode
+from sathub.factoring import FactorizationSpec, build_factorization
 from sathub.service import MemoryService
 
 from gens import random_expr
@@ -242,3 +243,49 @@ def test_a_build_that_raises_writes_nothing_through_a_mirror():
         assert obj.view.version == 0
     finally:
         service.shutdown()
+
+
+def queued_clauses(store):
+    """Every clause a builder over ``store`` writes from now on, as it writes it."""
+    log = []
+    add = store.add_clauses
+
+    def recording(batch):
+        log.extend(batch)
+        return add(batch)
+
+    store.add_clauses = recording
+    return log
+
+
+def assert_canonical(clauses):
+    assert clauses
+    for clause in clauses:
+        assert tuple(clause) == canonical_clause(clause), clause
+
+
+@pytest.mark.parametrize("l", [2, 4, 8, 16, 32])
+def test_a_factoring_build_queues_only_canonical_clauses(l):
+    rng = random.Random(f"canonical:{l}")
+    for _ in range(3):
+        u, v = rng.randrange(1 << l), rng.randrange(1 << l)
+        store = CnfStore(0)
+        queued = queued_clauses(store)
+        build_factorization(FactorizationSpec.from_product(l, u * v), store)
+        assert_canonical(queued)
+        assert store.clause_tuples() == list(dict.fromkeys(map(tuple, queued)))
+
+
+def test_expression_builds_queue_only_canonical_clauses_even_after_renumbering():
+    rng = random.Random(47)
+    for i in range(200):
+        expr, n = random_expr(rng, max_vars=10, size=20)
+        store = CnfStore(n)
+        queued = queued_clauses(store)
+        ctx = CircuitBuilder(store, alloc_chunk=1 + i % 3)
+        ctx.add_clause([build_expression_circuit(expr, ctx)])
+        if i % 2:
+            store.add_variables(1 + i % 5)  # another writer: finalize renumbers the gates
+        written = ctx.finalize()
+        assert written == queued
+        assert_canonical(queued)

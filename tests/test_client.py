@@ -6,7 +6,8 @@ import time
 import pytest
 
 from sathub import wire
-from sathub.client import connect
+from sathub.client import MemoryMirror, connect
+from sathub.cnf import ClauseRangeError
 from sathub.service import MemoryService
 
 
@@ -218,4 +219,100 @@ def test_mirror_of_a_deleted_memory_is_lost_cleanly_without_a_log(service, caplo
         assert mirror.lost.startswith("ConnectionClosed: ")
         assert not [r for r in caplog.records if r.name == "sathub.client"]
     finally:
+        mirror.close()
+
+
+def test_a_mirror_batch_goes_out_in_one_write_and_reaches_a_watcher_in_order(service):
+    obj = service.create_memory(4)
+    writer, watcher = connect(obj.direct_url), connect(obj.direct_url)
+    try:
+        writer.add_clause_direct([2, 1])
+        assert wait_until(lambda: watcher.version == 1)
+        sends = []
+        send = writer._writer.send
+        writer._writer.send = lambda data: sends.append(data) or send(data)
+        batch = [[-4, 3], [1, 2], [4, -1, 2], [3, -4], [2, 2, -3]]
+        assert writer.add_clauses(batch) == [True, False, True, False, True]
+        assert writer.add_clauses([]) == []
+        assert len(sends) == 1
+        assert wait_until(lambda: watcher.version == 4)
+        expected = [(1, 2), (3, -4), (-1, 2, 4), (2, -3)]
+        assert watcher.clause_tuples() == expected
+        assert writer.clause_tuples() == expected
+        assert obj.view.clause_tuples() == expected
+    finally:
+        writer.close(); watcher.close()
+
+
+@pytest.mark.parametrize(
+    "batch, error",
+    [
+        ([[1, 2], [-5, 1], [3]], ClauseRangeError),
+        ([[1, 2], [0, 1], [3]], ValueError),
+        ([[1, 2], [], [3]], ValueError),
+        ([[1], [9], [True]], ClauseRangeError),  # the first refused clause's error
+    ],
+)
+def test_a_mirror_batch_with_a_bad_clause_raises_and_writes_nothing(service, batch, error):
+    obj = service.create_memory(4)
+    mirror = connect(obj.direct_url)
+    try:
+        mirror.add_clause_direct([4])
+        sends = []
+        send = mirror._writer.send
+        mirror._writer.send = lambda data: sends.append(data) or send(data)
+        with pytest.raises(error) as raised:
+            mirror.add_clauses(batch)
+        assert type(raised.value) is error
+        assert sends == []
+        assert mirror.clause_tuples() == [(4,)]
+        # the hub answers in frame order: once the snapshot is back, it holds all it got
+        _, clauses = mirror.request_snapshot()
+        assert clauses == [[4]]
+        assert obj.view.clause_tuples() == [(4,)]
+    finally:
+        mirror.close()
+
+
+def fake_hub_mirror(var_count, clauses=()):
+    """A mirror over one end of a socket pair whose other end plays the hub."""
+    hub, end = socket.socketpair()
+    hub.sendall(wire.encode_snapshot(var_count, clauses))
+    return hub, MemoryMirror(end, "tcp://fake:1")
+
+
+def test_a_mirror_applies_a_read_of_clause_runs_around_added_variables():
+    hub, mirror = fake_hub_mirror(2, [[1]])
+    try:
+        hub.sendall(
+            wire.encode_add_clause([1, 2])
+            + wire.encode_add_clause([-1, -2])
+            + wire.encode_add_clause([1, 2])  # a duplicate
+            + wire.encode_add_vars(2)
+            + wire.encode_add_clause([-2, 4])
+            + wire.encode_add_clause([3])
+        )
+        assert wait_until(lambda: mirror.version == 5)
+        assert mirror.var_count == 4
+        assert mirror.clause_tuples() == [(1,), (1, 2), (-1, -2), (-2, 4), (3,)]
+        assert mirror.alive
+    finally:
+        hub.close()
+        mirror.close()
+
+
+def test_an_out_of_range_clause_mid_run_ends_the_mirror():
+    hub, mirror = fake_hub_mirror(2)
+    try:
+        hub.sendall(
+            wire.encode_add_clause([1])
+            + wire.encode_add_clause([-3, 1])
+            + wire.encode_add_clause([2])
+        )
+        assert wait_until(lambda: not mirror.alive)
+        assert mirror.lost == "ClauseRangeError: literal -3 out of range (var count 2)"
+        with pytest.raises(ConnectionError):
+            mirror.add_clause_direct([1, 2])
+    finally:
+        hub.close()
         mirror.close()

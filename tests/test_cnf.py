@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sathub.client import connect
 from sathub.cnf import ClauseRangeError, CnfStore, canonical_clause
@@ -76,6 +77,52 @@ def test_add_clause_out_of_range():
         store.add_clause([5])
     with pytest.raises(ClauseRangeError):
         store.add_clause([1, -4])
+
+
+LITERAL = st.one_of(st.integers(-5, 5), st.booleans())
+BATCH = st.lists(st.lists(LITERAL, max_size=4), max_size=10)
+
+
+def outcome_of(call, literals):
+    """``call(literals)``'s value, or the type and message of the ``ValueError`` it raised."""
+    try:
+        return call(literals)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def reference_outcome(held, var_count, literals):
+    """The outcome of adding ``literals`` to a store holding ``held``, as a
+    plain model: the error type, or whether the clause is new."""
+    if not literals or any(type(lit) is not int or lit == 0 for lit in literals):
+        return ValueError
+    clause = tuple(sorted(set(literals), key=lambda lit: (abs(lit), lit > 0)))
+    if abs(clause[-1]) > var_count:
+        return ClauseRangeError
+    if clause in held:
+        return False
+    held.append(clause)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), BATCH, BATCH)
+def test_add_clauses_matches_a_loop_of_add_clause(var_count, preload, batch):
+    looped, batched = CnfStore(var_count), CnfStore(var_count)
+    for store in (looped, batched):
+        for literals in preload:
+            outcome_of(store.add_clause, literals)
+    expected = [outcome_of(looped.add_clause, literals) for literals in batch]
+    outcomes = batched.add_clauses(batch)
+    assert [
+        (type(o), str(o)) if isinstance(o, ValueError) else o for o in outcomes
+    ] == expected
+    assert batched.clause_tuples() == looped.clause_tuples()
+    assert batched.var_count == looped.var_count
+    held = []
+    model = [reference_outcome(held, var_count, literals) for literals in preload + batch]
+    assert model[len(preload):] == [o if type(o) is bool else o[0] for o in expected]
+    assert held == looped.clause_tuples()
 
 
 def test_clauses_returns_insertion_order():

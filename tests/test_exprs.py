@@ -62,7 +62,7 @@ def test_de_morgan_unit_example():
         ExprNode.not_(ExprNode.or_(ExprNode.var(1), ExprNode.var(2))), store
     )
     assert store.var_count == 3
-    assert clauses == [[-3, -1], [-3, -2], [3, 1, 2], [3]]
+    assert clauses == [[-1, -3], [-2, -3], [1, 2, 3], [3]]
     assert solve_store(store).model == [False, False, True]
     assert solve_store(store, assumptions=[1]).result == "UNSAT"
     assert solve_store(store, assumptions=[2]).result == "UNSAT"
@@ -97,8 +97,8 @@ def test_three_literal_equivalence_truth_table():
         ExprNode.var(1), ExprNode.and_(ExprNode.var(3), ExprNode.var(4))
     )
     clauses = lower_to_cnf(formula, store)
-    definition = [c for c in clauses if abs(c[0]) == 7]
-    assert definition == [[-7, 3], [-7, 4], [7, -3, -4]]
+    definition = [c for c in clauses if abs(c[-1]) == 7]
+    assert definition == [[3, -7], [4, -7], [-3, -4, 7]]
 
 
 def test_lowering_grows_variable_count():

@@ -495,8 +495,13 @@ def test_malformed_frame_closes_connection(service):
 def recorded_adds(mirror):
     """The clause of each ``ADD_CLAUSE`` frame the hub sends ``mirror`` from now on."""
     log = []
-    add = mirror.store.add_clause
-    mirror.store.add_clause = lambda literals: log.append(list(literals)) or add(literals)
+    add = mirror.store.add_clauses
+
+    def recording(batch):
+        log.extend(list(literals) for literals in batch)
+        return add(batch)
+
+    mirror.store.add_clauses = recording
     return log
 
 
