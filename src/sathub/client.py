@@ -16,7 +16,6 @@ each run of clauses in one batch.
 
 from __future__ import annotations
 
-import io
 import logging
 import queue
 import socket
@@ -76,32 +75,6 @@ def _snapshot_in_range(var_count: int, clauses: list[list[int]]) -> bool:
     return not lits or (min(lits) >= -var_count and max(lits) <= var_count)
 
 
-class _DeadlineReader(io.RawIOBase):
-    """A socket's raw reads, each refused once ``deadline`` (monotonic) has
-    passed and otherwise bounded by the time left; ``None`` lifts the bound."""
-
-    def __init__(self, sock: socket.socket, deadline: float | None) -> None:
-        super().__init__()
-        self._sock = sock
-        self._raw = sock.makefile("rb", buffering=0)
-        self.deadline = deadline
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int | None:
-        if self.deadline is not None:
-            left = self.deadline - time.monotonic()
-            if left <= 0:
-                raise TimeoutError("snapshot not received within the connect timeout")
-            self._sock.settimeout(left)
-        return self._raw.readinto(buffer)
-
-    def close(self) -> None:
-        self._raw.close()
-        super().close()
-
-
 def _read_snapshot(batches) -> tuple[int, list[list[int]], list]:
     """The variable count and clauses of the SNAPSHOT frame that opens a
     stream, and the messages read after it."""
@@ -129,20 +102,18 @@ class MemoryMirror:
         self.lost: str | None = None  # why the stream ended, once it has
         self._sock = sock
         timeout = sock.gettimeout()
-        raw = _DeadlineReader(sock, None if timeout is None else time.monotonic() + timeout)
-        self._stream = io.BufferedReader(raw)
+        self._deadline = None if timeout is None else time.monotonic() + timeout
         self._request_lock = threading.Lock()
         self._responses: queue.Queue = queue.Queue()
         self._reserving: deque = deque()  # sizes of reservations awaiting their index
 
-        self._batches = wire.read_batches(self._stream.read1)
+        self._batches = wire.read_batches(self._recv)
         try:
             var_count, clauses, rest = _read_snapshot(self._batches)
         except BaseException:
-            self._stream.close()
             sock.close()
             raise
-        raw.deadline = None
+        self._deadline = None
         sock.settimeout(None)
         self.store = CnfStore(var_count)
         # the hub's clauses are already canonical and distinct
@@ -176,6 +147,16 @@ class MemoryMirror:
 
     # -- channel ---------------------------------------------------------------
 
+    def _recv(self, size: int) -> bytes:
+        """``sock.recv``, refused once the snapshot deadline has passed and
+        otherwise bounded by the time left, while that deadline is set."""
+        if self._deadline is not None:
+            left = self._deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("snapshot not received within the connect timeout")
+            self._sock.settimeout(left)
+        return self._sock.recv(size)
+
     def _read_loop(self, messages: list) -> None:
         try:
             while True:
@@ -193,16 +174,19 @@ class MemoryMirror:
 
     def _apply(self, messages: list) -> None:
         """Apply one read's messages to the replica, in stream order, each run
-        of ``ADD_CLAUSE`` messages in one ``add_clauses`` call; a clause the
-        replica refuses raises its error, which ends the reader."""
+        of ``ADD_CLAUSE`` messages in one batch; a clause the replica refuses
+        raises its error, which ends the reader, once the run's clauses
+        before it are stored."""
         store = self.store
         for opcode, run in groupby(messages, itemgetter(0)):
             if opcode == wire.ADD_CLAUSE:
-                raise_first_error(store.add_clauses([literals for _, literals in run]))
+                clauses = canonical_outcomes([literals for _, literals in run])
+                store._add_canonical(clauses, stop_at_refusal=True)
+                raise_first_error(clauses)
                 continue
             for _, payload in run:
                 if opcode == wire.ADD_VARS:
-                    store.add_variables(payload)
+                    store.reserve_variables(payload)
                 else:
                     if opcode in (wire.FIRST_INDEX, wire.VAR_INDEX):
                         self._apply_reservation(payload)  # before the caller sees it
@@ -220,7 +204,7 @@ class MemoryMirror:
             raise MirrorProtocolError(
                 f"index {first} does not follow replica var count {self.store.var_count}"
             )
-        self.store.add_variables(self._reserving.popleft())
+        self.store.reserve_variables(self._reserving.popleft())
 
     def _send(self, data: bytes) -> None:
         """Queue frames to go out after every frame queued before them."""
@@ -317,5 +301,4 @@ class MemoryMirror:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._stream.close()
         self._sock.close()

@@ -66,7 +66,18 @@ def raise_first_error(outcomes: list) -> list:
 
 class CnfStore:
     """One SAT memory: a monotone variable count and an append-only list of
-    distinct canonical clauses, guarded by its own lock."""
+    distinct canonical clauses, guarded by its own lock.
+
+    Every memory (this store, a hub ``MemoryObject``, a ``MemoryMirror``)
+    has one protocol, and solvers and builders use only it: ``var_count``;
+    ``clauses_since(cursor)``, the clauses since a clause-count cursor and
+    the next cursor; ``alive``, False once the memory is deleted or lost;
+    ``reserve_variables(n) -> first``; and ``add_clauses(batch) ->
+    outcomes``, one per clause, where a mirror raises a refused clause's
+    error and sends nothing (``raise_first_error`` treats both alike).
+    """
+
+    alive = True
 
     def __init__(self, var_count: int = 0) -> None:
         if var_count < 0:
@@ -81,11 +92,7 @@ class CnfStore:
         """The clause count: it changes exactly when a clause is added."""
         return len(self._clauses)
 
-    def add_variable(self) -> int:
-        """Add one free variable, returning its index."""
-        return self.add_variables(1)
-
-    def add_variables(self, n: int) -> int:
+    def reserve_variables(self, n: int) -> int:
         """Add ``n`` free variables, returning the first new index."""
         if n < 1:
             raise ValueError(f"variable count must be >= 1, got {n}")
@@ -111,19 +118,27 @@ class CnfStore:
         self._add_canonical(outcomes)
         return outcomes
 
-    def _add_canonical(self, outcomes: list) -> list[tuple[int, ...]]:
+    def _add_canonical(
+        self, outcomes: list, stop_at_refusal: bool = False
+    ) -> list[tuple[int, ...]]:
         """The locked section of ``add_clauses``: replace each clause of
         ``outcomes`` in ``canonical_clause`` form by its outcome, skipping
-        the errors already there; returns the clauses stored now, in order."""
+        the errors already there; returns the clauses stored now, in order.
+        With ``stop_at_refusal``, the first error ends the pass and the
+        clauses after it stay unstored, in canonical form."""
         fresh = []
         with self.lock:
             bound = self.var_count
             seen = self._seen
             for i, clause in enumerate(outcomes):
                 if type(clause) is not tuple:
+                    if stop_at_refusal:
+                        break
                     continue
                 if abs(clause[-1]) > bound:  # a canonical clause ends with its largest variable
                     outcomes[i] = out_of_range(clause, bound)
+                    if stop_at_refusal:
+                        break
                 elif clause in seen:
                     outcomes[i] = False
                 else:

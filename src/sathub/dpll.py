@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Iterable, Optional, Sequence
 
+from .cnf import raise_first_error
 from .solving import DiversificationSettings, SolveOutcome
 
 SAT = "SAT"
@@ -400,7 +401,7 @@ def run(
     export: bool = False,
     on_decision: Optional[Callable[[int], None]] = None,
 ) -> SolveOutcome:
-    """Solve the CNF visible through ``view`` (a store, a mirror or a hub memory).
+    """Solve the CNF visible through ``view``, any memory of ``CnfStore``'s protocol.
 
     Returns SAT with a full model, UNSAT, or UNKNOWN after a cancel, with
     ``MEMORY_UNAVAILABLE`` once the view is lost, or with
@@ -409,8 +410,9 @@ def run(
     boundary the solver loads the clauses appended since a clause-count
     cursor; the first read, from 0, is the snapshot. With ``export``
     enabled, learned clauses of at most ``EXPORT_MAX_LEN`` literals are
-    pushed back to the view. A SAT model is checked against every clause
-    taken before it is returned.
+    pushed back to the view, one batch per decision boundary; the last
+    boundary's batch goes before ``run`` answers. A SAT model is checked
+    against every clause taken before it is returned.
     """
     settings = settings or DiversificationSettings()
     count = view.var_count
@@ -419,11 +421,18 @@ def run(
     solver = DpllSolver(count)
     taken: list[tuple[int, ...]] = []
     cursor = 0
+    exports: list[list[int]] = []  # learned since the last decision boundary
+
+    def flush() -> None:
+        if exports:
+            raise_first_error(view.add_clauses(exports.copy()))
+            exports.clear()
 
     def poll_live() -> list:
         nonlocal count, cursor
-        if getattr(view, "alive", True) is False:
+        if not view.alive:
             raise ConnectionError("memory view lost")
+        flush()
         fresh, cursor = view.clauses_since(cursor)
         count = view.var_count
         if count > MAX_SOLVE_VARIABLES:
@@ -433,19 +442,15 @@ def run(
             taken.extend(fresh)
         return fresh
 
-    exporter = None
-    if export:
-        def exporter(clause: list[int]) -> None:
-            export_learned(view, clause)
-
     try:
         outcome = solver.solve(
             phases=settings.phases or {},
             control=control,
             on_decision=on_decision,
             poll_clauses=poll_live,
-            exporter=exporter,
+            exporter=exports.append if export else None,
         )
+        flush()
     except _TooManyVariables:
         return SolveOutcome(UNKNOWN, error="TOO_MANY_VARIABLES")
     except ConnectionError:
@@ -459,9 +464,3 @@ def run(
             return SolveOutcome(UNKNOWN, error="MODEL_CHECK_FAILED")
         outcome = SolveOutcome(SAT, model=model)
     return outcome
-
-
-def export_learned(view, clause: Sequence[int]) -> None:
-    """Push a learned clause to the solver's own memory view."""
-    adder = getattr(view, "add_clause_direct", None) or view.add_clause
-    adder(list(clause))

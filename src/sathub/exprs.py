@@ -144,8 +144,7 @@ def lower_to_cnf(formula: ExprNode, view) -> list[list[int]]:
 
     needed = formula.max_var()
     if view.var_count < needed:
-        grow = getattr(view, "reserve_variables", None) or view.add_variables
-        grow(needed - view.var_count)
+        view.reserve_variables(needed - view.var_count)
     builder = CircuitBuilder(view)
     builder.add_clause([build_expression_circuit(formula, builder)])
     return builder.finalize()

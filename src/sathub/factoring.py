@@ -66,12 +66,11 @@ def build_factorization(spec: FactorizationSpec, memory, alloc_chunk: int | None
     so a fresh mirror costs two round trips (the grow to 2l, then the gate
     variables) and the node receives exactly the instance a local build
     makes. ``alloc_chunk`` pads the gate reservation as ``CircuitBuilder``
-    describes.
+    describes; it goes with the benchmark change of ROADMAP item 0.
     """
     l = spec.l
     if memory.var_count < 2 * l:
-        grow = getattr(memory, "reserve_variables", None) or memory.add_variables
-        grow(2 * l - memory.var_count)
+        memory.reserve_variables(2 * l - memory.var_count)
 
     ctx = CircuitBuilder(memory, alloc_chunk=alloc_chunk)
     u = BitVec(tuple(range(l, 0, -1)))

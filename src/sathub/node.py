@@ -10,6 +10,7 @@ from typing import Optional
 
 from . import wire
 from .client import parse_direct_url
+from .cnf import raise_first_error
 from .service import MemoryService, NoSuchMemory
 from .solving import (
     DiversificationSettings,
@@ -224,12 +225,12 @@ class ServerNode:
                 if obj is None:
                     return {"error": "NO_SUCH_OBJECT"}
                 if method == "SatCnf.addVariable":
-                    return {"index": obj.add_variables(1)}
+                    return {"index": obj.reserve_variables(1)}
                 if method == "SatCnf.addClause":
                     clause = argument.get("clause")
                     if not isinstance(clause, list):
                         raise MalformedArgument(f"clause: must be a list, got {clause!r}")
-                    return {"added": obj.add_clause(clause)}
+                    return {"added": raise_first_error(obj.add_clauses([clause]))[0]}
                 if method == "SatCnf.clauses":
                     return {"clauses": obj.view.clauses()}
                 if method == "SatCnf.fork":

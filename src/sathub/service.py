@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Optional
 
 from . import wire
-from .cnf import ClauseRangeError, CnfStore, canonical_outcomes, raise_first_error
+from .cnf import ClauseRangeError, CnfStore, canonical_outcomes
 
 # Seconds an explicit variable lock may be held before the hub force-releases it.
 LOCK_TIMEOUT = 10.0
@@ -193,7 +193,7 @@ class MemoryObject:
         self.direct_url = f"tcp://{service.host}:{self._listener.getsockname()[1]}"
         threading.Thread(target=self._accept_loop, daemon=True).start()
 
-    # -- dpll.run view, read by a worker of this node; exports use add_clause --
+    # -- the memory protocol (``CnfStore``'s docstring) for a worker of this node --
 
     @property
     def var_count(self) -> int:
@@ -264,7 +264,7 @@ class MemoryObject:
                 return True
             reply = wire.encode_var_index if opcode == wire.ADD_VARIABLE else wire.encode_first_index
             try:
-                self.add_variables(n, origin=conn, reply=reply)
+                self.reserve_variables(n, origin=conn, reply=reply)
             except NoSuchMemory:
                 return False
             except ClauseRangeError as exc:
@@ -292,13 +292,6 @@ class MemoryObject:
 
     # -- writes: direct frames and web calls -------------------------------------
 
-    def add_clause(self, literals, origin: Optional[FrameWriter] = None) -> bool:
-        """Add one clause and broadcast it to every peer that newly sees it but ``origin``.
-
-        Raises ``ClauseRangeError`` out of range, ``ValueError`` if malformed.
-        """
-        return raise_first_error(self.add_clauses([literals], origin))[0]
-
     def add_clauses(self, batch: list, origin: Optional[FrameWriter] = None) -> list:
         """Add clauses in order in one hub-lock section, and broadcast the newly
         stored ones, in that order, to every peer that newly sees them but ``origin``.
@@ -314,7 +307,7 @@ class MemoryObject:
                 self._broadcast_clauses(fresh, exclude=origin)
         return outcomes
 
-    def add_variables(self, n: int, origin: Optional[FrameWriter] = None, reply=None) -> int:
+    def reserve_variables(self, n: int, origin: Optional[FrameWriter] = None, reply=None) -> int:
         """Add ``n`` variables to every store of the family and broadcast them; returns the first.
 
         Waits FIFO behind the variable lock's holder unless ``origin`` holds it.
@@ -336,7 +329,7 @@ class MemoryObject:
             first = count + 1
             data = wire.encode_add_vars(n)
             for member in family.members:
-                member.view.add_variables(n)
+                member.view.reserve_variables(n)
                 for peer in member.peers:
                     if peer is not origin:
                         peer.send(data)

@@ -35,7 +35,7 @@ class CircuitHarness:
 
     def __init__(self, widths, build):
         self.store = CnfStore(0)
-        firsts = [self.store.add_variables(w) for w in widths]
+        firsts = [self.store.reserve_variables(w) for w in widths]
         self.inputs = [BitVec.from_vars(f, w) for f, w in zip(firsts, widths)]
         ctx = CircuitBuilder(self.store)
         self.output = build(ctx, *self.inputs)

@@ -285,7 +285,7 @@ def test_expression_builds_queue_only_canonical_clauses_even_after_renumbering()
         ctx = CircuitBuilder(store, alloc_chunk=1 + i % 3)
         ctx.add_clause([build_expression_circuit(expr, ctx)])
         if i % 2:
-            store.add_variables(1 + i % 5)  # another writer: finalize renumbers the gates
+            store.reserve_variables(1 + i % 5)  # another writer: finalize renumbers the gates
         written = ctx.finalize()
         assert written == queued
         assert_canonical(queued)

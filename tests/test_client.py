@@ -316,3 +316,26 @@ def test_an_out_of_range_clause_mid_run_ends_the_mirror():
     finally:
         hub.close()
         mirror.close()
+
+
+@pytest.mark.parametrize(
+    "bad, lost",
+    [
+        ([-3, 1], "ClauseRangeError: literal -3 out of range (var count 2)"),
+        ([], "ValueError: empty clause"),
+    ],
+)
+def test_a_refused_clause_mid_run_stores_only_the_clauses_before_it(bad, lost):
+    hub, mirror = fake_hub_mirror(2)
+    try:
+        hub.sendall(
+            wire.encode_add_clause([1])
+            + wire.encode_add_clause(bad)
+            + wire.encode_add_clause([2])
+        )
+        assert wait_until(lambda: not mirror.alive)
+        assert mirror.lost == lost
+        assert mirror.clause_tuples() == [(1,)]
+    finally:
+        hub.close()
+        mirror.close()

@@ -21,24 +21,24 @@ def service():
 
 def test_add_variable_counts():
     store = CnfStore()
-    assert store.add_variable() == 1
-    assert store.add_variable() == 2
-    assert store.add_variable() == 3
+    assert store.reserve_variables(1) == 1
+    assert store.reserve_variables(1) == 2
+    assert store.reserve_variables(1) == 3
     assert store.var_count == 3
 
     store8 = CnfStore(8)
-    assert store8.add_variable() == 9
+    assert store8.reserve_variables(1) == 9
 
 
 def test_add_variables_bulk():
     store = CnfStore(4)
-    assert store.add_variables(8) == 5
+    assert store.reserve_variables(8) == 5
     assert store.var_count == 12
 
     empty = CnfStore()
-    assert empty.add_variables(1) == 1
+    assert empty.reserve_variables(1) == 1
     with pytest.raises(ValueError):
-        empty.add_variables(0)
+        empty.reserve_variables(0)
 
 
 def test_canonical_clause_order():
@@ -183,79 +183,79 @@ def test_evaluate_matches_truth_table_exhaustively():
 def test_attached_fork_sees_origin_updates(service):
     origin = service.create_memory(3)
     fork = service.fork_memory(origin, detach=False)
-    origin.add_clause([1])
+    origin.add_clauses([[1]])
     assert [1] in fork.view.clauses()
     assert fork.view.var_count == 3
-    origin.add_variables(1)
+    origin.reserve_variables(1)
     assert fork.view.var_count == 4
 
 
 def test_detached_fork_is_frozen(service):
     origin = service.create_memory(3)
-    origin.add_clause([1, 2])
+    origin.add_clauses([[1, 2]])
     fork = service.fork_memory(origin, detach=True)
-    origin.add_clause([3])
-    origin.add_variables(2)
+    origin.add_clauses([[3]])
+    origin.reserve_variables(2)
     assert fork.view.clauses() == [[1, 2]]
     assert fork.view.var_count == 3
 
 
 def test_fork_writes_never_reach_origin(service):
     origin = service.create_memory(3)
-    origin.add_clause([1, 2])
+    origin.add_clauses([[1, 2]])
     fork = service.fork_memory(origin, detach=False)
-    fork.add_clause([-1])
+    fork.add_clauses([[-1]])
     assert origin.view.clauses() == [[1, 2]]
     assert fork.view.clauses() == [[1, 2], [-1]]
 
 
 def test_fork_dedups_against_origin(service):
     origin = service.create_memory(3)
-    origin.add_clause([1, 2])
+    origin.add_clauses([[1, 2]])
     fork = service.fork_memory(origin, detach=False)
-    assert fork.add_clause([2, 1]) is False
+    assert fork.add_clauses([[2, 1]])[0] is False
     # origin may later add a clause the fork stored first; the fork holds it once
-    assert fork.add_clause([3]) is True
-    assert origin.add_clause([3]) is True
+    assert fork.add_clauses([[3]])[0] is True
+    assert origin.add_clauses([[3]])[0] is True
     assert fork.view.clauses().count([3]) == 1
 
 
 def test_fork_of_fork_chain(service):
     origin = service.create_memory(2)
-    origin.add_clause([1])
+    origin.add_clauses([[1]])
     f1 = service.fork_memory(origin, detach=False)
-    f1.add_clause([2])
+    f1.add_clauses([[2]])
     f2 = service.fork_memory(f1, detach=False)
-    f2.add_clause([-1, -2])
+    f2.add_clauses([[-1, -2]])
     assert f2.view.clauses() == [[1], [2], [-1, -2]]
-    origin.add_clause([-2, 1])
+    origin.add_clauses([[-2, 1]])
     # a fork lists clauses in the order it received them
     assert f2.view.clauses() == [[1], [2], [-1, -2], [1, -2]]
     assert f1.view.clauses() == [[1], [2], [1, -2]]
     # variables are shared along the whole attached chain
-    assert f2.add_variables(1) == 3
-    assert origin.add_variables(1) == 4
+    assert f2.reserve_variables(1) == 3
+    assert origin.reserve_variables(1) == 4
     assert origin.view.var_count == f1.view.var_count == f2.view.var_count == 4
 
 
 def test_detached_fork_own_variables(service):
     origin = service.create_memory(2)
     fork = service.fork_memory(origin, detach=True)
-    assert fork.add_variables(1) == 3
+    assert fork.reserve_variables(1) == 3
     assert origin.view.var_count == 2
-    fork.add_clause([3])
+    fork.add_clauses([[3]])
     assert fork.view.clauses() == [[3]]
     # an attached fork of a detached fork shares the detached fork's variables
     sub = service.fork_memory(fork, detach=False)
-    origin.add_variables(5)
-    assert sub.add_variables(1) == 4
+    origin.reserve_variables(5)
+    assert sub.reserve_variables(1) == 4
     assert (origin.view.var_count, fork.view.var_count, sub.view.var_count) == (7, 4, 4)
 
 
 def test_attached_fork_shares_variables(service):
     origin = service.create_memory(2)
     fork = service.fork_memory(origin, detach=False)
-    assert fork.add_variables(1) == 3
+    assert fork.reserve_variables(1) == 3
     assert origin.view.var_count == 3
 
 
@@ -280,13 +280,13 @@ def test_fork_isolation_random_interleavings(service):
             target = rng.randrange(len(forks) + 1)
             if target == 0:
                 plain.add_clause(clause)
-                origin.add_clause(clause)
+                origin.add_clauses([clause])
                 for _, attached, model in forks:
                     if attached:
                         model.add(canonical_clause(clause))
             else:
                 fork, _, model = forks[target - 1]
-                fork.add_clause(clause)
+                fork.add_clauses([clause])
                 model.add(canonical_clause(clause))
         assert origin.view.clauses() == plain.clauses()
         for fork, _, model in forks:
@@ -303,7 +303,7 @@ def test_dedup_soundness_across_views(service):
     mirror = connect(fork.direct_url)
     try:
         for _ in range(200):
-            (origin if rng.random() < 0.5 else fork).add_clause(random_clause(rng, 4))
+            (origin if rng.random() < 0.5 else fork).add_clauses([random_clause(rng, 4)])
         for view in (origin.view, fork.view):
             seen = view.clause_tuples()
             assert len(seen) == len(set(seen))
@@ -321,7 +321,7 @@ def test_attached_fork_superset_of_origin(service):
     origin = service.create_memory(4)
     fork = service.fork_memory(origin, detach=False)
     for _ in range(100):
-        (origin if rng.random() < 0.6 else fork).add_clause(random_clause(rng, 4, 3))
+        (origin if rng.random() < 0.6 else fork).add_clauses([random_clause(rng, 4, 3)])
         assert set(origin.view.clause_tuples()) <= set(fork.view.clause_tuples())
 
 
@@ -332,9 +332,9 @@ def test_version_counter_bumps_on_clause_adds(service):
     store.add_clause([1])
     assert store.version == 1  # the clause count
     origin = service.create_memory(2)
-    origin.add_clause([1])
+    origin.add_clauses([[1]])
     fork = service.fork_memory(origin, detach=False)
     assert fork.view.version == 1
-    fork.add_clause([2])
-    origin.add_clause([-1])
+    fork.add_clauses([[2]])
+    origin.add_clauses([[-1]])
     assert fork.view.version == 3

@@ -3,7 +3,7 @@ import threading
 
 from sathub.client import connect
 from sathub.cnf import CnfStore
-from sathub.dpll import DpllSolver, SolveControl, export_learned, run
+from sathub.dpll import DpllSolver, SolveControl, run
 from sathub.service import MemoryService
 from sathub.solving import DiversificationSettings
 
@@ -242,10 +242,10 @@ def test_export_learned_goes_to_own_view():
     service = MemoryService()
     try:
         origin = service.create_memory(2)
-        origin.add_clause([1, 2])
+        origin.add_clauses([[1, 2]])
         fork = service.fork_memory(origin, detach=False)
         mirror = connect(fork.direct_url)
-        export_learned(mirror, [-1, -2])
+        mirror.add_clauses([[-1, -2]])
         assert [-1, -2] in mirror.clauses()
         mirror.close()  # returns once the hub has applied the clause
         assert [-1, -2] in fork.view.clauses()

@@ -192,8 +192,8 @@ class CountingMirror:
         self.reserve_calls += 1
         return self.mirror.reserve_variables(n)
 
-    def add_clause_direct(self, literals):
-        return self.mirror.add_clause_direct(literals)
+    def add_clauses(self, batch):
+        return self.mirror.add_clauses(batch)
 
 
 @pytest.mark.parametrize(

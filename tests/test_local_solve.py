@@ -118,7 +118,7 @@ def test_exporting_worker_on_a_hub_memory_broadcasts_learned_clauses():
         clauses, n = php_clauses(4, 3)
         obj = service.create_memory(n)
         for clause in clauses:
-            obj.add_clause(clause)
+            obj.add_clauses([clause])
         observer = client.connect(obj.direct_url)
         try:
             outcome = SolverWorker(export=True).solve(obj, web_pid="p")

@@ -495,13 +495,13 @@ def test_malformed_frame_closes_connection(service):
 def recorded_adds(mirror):
     """The clause of each ``ADD_CLAUSE`` frame the hub sends ``mirror`` from now on."""
     log = []
-    add = mirror.store.add_clauses
+    apply = mirror._apply
 
-    def recording(batch):
-        log.extend(list(literals) for literals in batch)
-        return add(batch)
+    def recording(messages):
+        log.extend(payload for opcode, payload in messages if opcode == wire.ADD_CLAUSE)
+        return apply(messages)
 
-    mirror.store.add_clauses = recording
+    mirror._apply = recording
     return log
 
 
@@ -649,8 +649,8 @@ def test_deleted_fork_is_unlinked_from_its_parent(service):
     origin = service.create_memory(2)
     fork = service.fork_memory(origin, detach=False)
     service.delete_memory(fork.object_id)
-    origin.add_clause([1])
-    origin.add_variables(1)
+    origin.add_clauses([[1]])
+    origin.reserve_variables(1)
     assert origin.children == []
     assert fork.view.clauses() == [] and fork.view.var_count == 2
 
@@ -663,8 +663,8 @@ def test_deleting_a_middle_fork_keeps_its_forks_fed(service):
     try:
         service.delete_memory(middle.object_id)
         assert origin.children == [leaf]
-        origin.add_clause([1])
-        assert origin.add_variables(1) == 3
+        origin.add_clauses([[1]])
+        assert origin.reserve_variables(1) == 3
         assert wait_until(lambda: leaf_mirror.clauses() == [[1]] and leaf_mirror.var_count == 3)
         assert leaf.view.clauses() == [[1]]
     finally:
@@ -679,7 +679,7 @@ def test_a_deleted_memory_forks_nothing_and_takes_no_variables(service, monkeypa
     with pytest.raises(NoSuchMemory):
         service.fork_memory(origin, detach=False)
     with pytest.raises(NoSuchMemory):
-        origin.add_variables(1)
+        origin.reserve_variables(1)
     assert list(service._objects) == [fork.object_id]
     # a web call that looked the memory up before it was deleted
     monkeypatch.setattr(service, "get", lambda object_id: origin)
@@ -717,7 +717,7 @@ def test_forks_made_while_the_origin_grows_miss_no_clause(service):
 
     def write():
         for i, clause in enumerate(clauses):
-            origin.add_clause(clause)
+            origin.add_clauses([clause])
             if i % 50 == 0:
                 time.sleep(0.001)  # let forks be made mid-stream
 
@@ -754,16 +754,16 @@ def test_reservation_updates_replica_before_unlock(service):
     other = threading.Thread(
         target=lambda: results.update(b=b.reserve_variables(8)), daemon=True
     )
-    apply = a.store.add_variables
+    apply = a.store.reserve_variables
 
     def slow_apply(n):
         # another peer reserves while a's replica applies a's own reservation
-        a.store.add_variables = apply  # only a's own block is slow
+        a.store.reserve_variables = apply  # only a's own block is slow
         other.start()
         time.sleep(0.2)
         return apply(n)
 
-    a.store.add_variables = slow_apply
+    a.store.reserve_variables = slow_apply
     try:
         results["a"] = a.reserve_variables(8)
         other.join(timeout=5)
@@ -783,16 +783,16 @@ def test_add_variable_updates_replica_before_unlock(service):
     other = threading.Thread(
         target=lambda: results.update(b=b.reserve_variables(8)), daemon=True
     )
-    apply = a.store.add_variables
+    apply = a.store.reserve_variables
 
     def slow_apply(n):
         # another peer reserves while a's replica applies a's own variable
-        a.store.add_variables = apply  # only a's own block is slow
+        a.store.reserve_variables = apply  # only a's own block is slow
         other.start()
         time.sleep(0.2)
         return apply(n)
 
-    a.store.add_variables = slow_apply
+    a.store.reserve_variables = slow_apply
     try:
         results["a"] = a.add_variable()
         other.join(timeout=5)

@@ -35,7 +35,7 @@ def test_growth_past_the_cap_mid_search_is_refused_at_the_next_poll(run_solvers,
     )
     thread.start()
     assert reached.wait(5)
-    store.add_variables(dpll.MAX_SOLVE_VARIABLES)
+    store.reserve_variables(dpll.MAX_SOLVE_VARIABLES)
     store.add_clause([-1, dpll.MAX_SOLVE_VARIABLES + 2])
     hold.release()
     thread.join(timeout=5)

@@ -463,7 +463,7 @@ def test_exported_learned_clauses_reach_peer_mirrors():
     try:
         obj = service.create_memory(0)
         clauses, n = php_clauses(4, 3)
-        obj.view.add_variables(n)
+        obj.view.reserve_variables(n)
         for clause in clauses:
             obj.view.add_clause(clause)
         observer = connect(obj.direct_url)
@@ -492,14 +492,18 @@ def test_single_instance_rule_under_contention():
     worker = SolverWorker(registry)
     overlaps = []
     active = []
+    reads = []
+    answers = []
     lock = threading.Lock()
 
     class ProbeStore:
         var_count = 1
         version = 0
+        alive = True
 
         def clauses_since(self, cursor=0):
             with lock:
+                reads.append(cursor)
                 active.append(1)
                 if len(active) > 1:
                     overlaps.append(True)
@@ -510,7 +514,7 @@ def test_single_instance_rule_under_contention():
 
     def attempt():
         try:
-            worker.solve(ProbeStore(), timeout=10.0)
+            answers.append(worker.solve(ProbeStore(), timeout=10.0).result)
         except SolverBusy:
             pass
 
@@ -520,3 +524,6 @@ def test_single_instance_rule_under_contention():
     for t in threads:
         t.join(timeout=20)
     assert not overlaps
+    # every solve that ran read the store, so the overlap probe was live
+    assert answers and set(answers) == {"SAT"}
+    assert reads.count(0) == len(answers)
