@@ -1,18 +1,17 @@
 """Shared SAT memory and shared SAT solvers over a small RPC/socket fabric."""
 
 from .bitvec import BitVec, product_with, sum_with
-from .circuits import CircuitBuilder, build_expression_circuit
+from .circuits import CircuitBuilder
 from .client import MemoryMirror, connect
 from .cnf import ClauseRangeError, CnfStore, canonical_clause
-from .dpll import DpllSolver, SolveControl, run
-from .exprs import ExprNode, eval_expr, lower_to_cnf
+from .dpll import DpllSolver, SolveControl, SolveOutcome, run
+from .exprs import ExprNode, build_expression_circuit, eval_expr, lower_to_cnf
 from .factoring import FactorizationSpec, build_factorization, decode_model
 from .node import ServerNode
 from .service import MemoryService
 from .solving import (
     DiversificationSettings,
     SolveCall,
-    SolveOutcome,
     SolverRegistry,
     SolverWorker,
     parallelize,

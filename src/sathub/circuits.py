@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .cnf import ClauseRangeError, raise_first_error
-from .exprs import AND, CONST, EQUIV, IMPL, MAJ3, NOT, OR, VAR, XOR, ExprNode
+from .cnf import raise_first_error
 
 
 class CircuitBuilder:
@@ -236,46 +235,3 @@ class CircuitBuilder:
     def or_many(self, lits: Iterable[int]) -> int:
         """OR as the De Morgan dual of AND: -and_many(-lit for each lit)."""
         return -self.and_many([-lit for lit in lits])
-
-
-def build_expression_circuit(root: ExprNode, builder: CircuitBuilder) -> int:
-    """Emit clauses tying a fresh literal to the expression's value; returns it.
-
-    Shared subexpressions (by node identity or gate structure) emit their
-    clauses once. Plain negations reuse the child's literal.
-    """
-    memo: dict[int, int] = {}
-
-    def go(node: ExprNode) -> int:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        kind = node.kind
-        if kind == VAR:
-            if node.var_index > builder.base:
-                raise ClauseRangeError(
-                    f"variable x{node.var_index} beyond memory var count {builder.base}"
-                )
-            lit = node.var_index
-        elif kind == CONST:
-            lit = builder.const(node.bool_value)
-        elif kind == NOT:
-            lit = -go(node.children[0])
-        elif kind == AND:
-            lit = builder.and_many([go(c) for c in node.children])
-        elif kind == OR:
-            lit = builder.or_many([go(c) for c in node.children])
-        elif kind == XOR:
-            lit = builder.xor(go(node.children[0]), go(node.children[1]))
-        elif kind == MAJ3:
-            lit = builder.maj3(*(go(c) for c in node.children))
-        elif kind == IMPL:
-            lit = builder.impl(go(node.children[0]), go(node.children[1]))
-        elif kind == EQUIV:
-            lit = builder.equiv(go(node.children[0]), go(node.children[1]))
-        else:
-            raise ValueError(f"unknown node kind {kind}")
-        memo[key] = lit
-        return lit
-
-    return go(root)

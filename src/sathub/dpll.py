@@ -13,18 +13,17 @@ value it held last (phase saving), or before that the diversification
 phases map (default false). There are no restarts, no activity heuristic
 and no clause deletion, so ``DpllSolver.learned`` holds every learned
 clause in derivation order: with the input clauses, a clausal proof of an
-UNSAT answer. Control flags and new clauses from live memory views are
-checked at decision boundaries only; ``load`` is the one way canonical
-clauses enter a solver, before or during a search.
+UNSAT answer. A solver reads its memory, and observes control flags, at
+decision boundaries only: clauses enter it only by being in its memory.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
-from .cnf import raise_first_error
-from .solving import DiversificationSettings, SolveOutcome
+from .cnf import canonical_clause, raise_first_error
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -40,6 +39,25 @@ MAX_SOLVE_VARIABLES = 1 << 18
 
 class _TooManyVariables(Exception):
     """The view counts more than ``MAX_SOLVE_VARIABLES`` variables."""
+
+
+@dataclass
+class SolveOutcome:
+    """Solver verdict; ``model`` is present exactly for SAT, ``error`` annotates failures."""
+
+    result: Optional[str]
+    model: Optional[list[bool]] = None
+    error: Optional[str] = None
+
+    def as_json(self) -> dict:
+        if self.result is None:
+            return {"error": self.error or "ERROR"}
+        out: dict = {"result": self.result}
+        if self.model is not None:
+            out["model"] = list(self.model)
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 class SolveControl:
@@ -98,9 +116,21 @@ def _halted(control: Optional[SolveControl]) -> bool:
 
 
 class DpllSolver:
-    """Incremental CDCL engine; clauses may be added between (or during) solves."""
+    """Incremental CDCL engine over one memory of ``CnfStore``'s protocol.
 
-    def __init__(self, var_count: int = 0) -> None:
+    Each decision boundary reads the clauses the memory appended since a
+    clause-count cursor (the first read, from 0, is the snapshot), so an
+    incremental caller adds clauses to the memory and solves again. With
+    ``export``, learned clauses of at most ``EXPORT_MAX_LEN`` literals are
+    written to the memory, one batch per read, and that read skips them.
+    """
+
+    def __init__(self, memory, export: bool = False) -> None:
+        self.memory = memory
+        self.export = export
+        self.clauses_read = 0  # the memory's clause-count cursor
+        self.taken: list[tuple[int, ...]] = []  # every clause loaded, in memory order
+        self.exports: list[tuple[int, ...]] = []  # canonical, learned since the last read
         self.var_count = 0
         self.vals: list[Optional[bool]] = [None, None]  # by literal code
         self.watches: list[list[list[int]]] = [[], []]  # by literal code
@@ -115,7 +145,6 @@ class DpllSolver:
         self.qhead = 0
         self.empty_clause = False
         self.learnts: list[list[int]] = []  # learned clauses, in derivation order
-        self.ensure_vars(var_count)
 
     @property
     def learned(self) -> list[tuple[int, ...]]:
@@ -136,28 +165,39 @@ class DpllSolver:
         self.reason.extend([None] * grow)
         self.seen.extend([False] * grow)
 
-    def add_clause(self, literals: Iterable[int]) -> None:
-        """Add a clause at level 0 (no search in progress)."""
-        codes = self._clean(literals)
-        if codes is not None:
-            self._add_level0(codes)
-
-    def load(self, clauses: Iterable[Sequence[int]]) -> None:
-        """Attach canonical clauses over variables already ensured, at level 0 or
-        mid-search; a tautology is watched, and never propagates."""
+    def load(self, clauses: list[tuple[int, ...]]) -> None:
+        """Attach canonical clauses read from the memory, over variables already
+        ensured, at level 0 or mid-search; a tautology is watched, and never
+        propagates."""
+        self.taken += clauses
         attach = self._attach
         for clause in clauses:
             attach([lit << 1 if lit > 0 else (-lit << 1) | 1 for lit in clause])
 
-    def _clean(self, literals: Iterable[int]) -> Optional[list[int]]:
-        """Distinct codes of a clause with its variables ensured; None for a tautology."""
-        distinct = dict.fromkeys(_code(lit) for lit in literals)
-        if any(code ^ 1 in distinct for code in distinct):
-            return None
-        codes = list(distinct)
-        if codes:
-            self.ensure_vars(max(code >> 1 for code in codes))
-        return codes
+    def _read(self) -> list[tuple[int, ...]]:
+        """Write the pending exports, then load the memory's clauses past the
+        cursor, less those exports; returns the clauses loaded."""
+        memory = self.memory
+        if not memory.alive:
+            raise ConnectionError("memory view lost")
+        sent = self._flush()
+        fresh, self.clauses_read = memory.clauses_since(self.clauses_read)
+        count = memory.var_count
+        if count > MAX_SOLVE_VARIABLES:
+            raise _TooManyVariables
+        self.ensure_vars(count)
+        if sent:
+            fresh = [clause for clause in fresh if clause not in sent]
+        self.load(fresh)
+        return fresh
+
+    def _flush(self) -> set[tuple[int, ...]]:
+        """Write the pending exports to the memory as one batch; returns them."""
+        sent = set(self.exports)
+        if sent:
+            raise_first_error(self.memory.add_clauses(self.exports))
+            self.exports = []
+        return sent
 
     def _assign(self, code: int, reason: Optional[list[int]]) -> None:
         self.vals[code] = True
@@ -321,9 +361,13 @@ class DpllSolver:
         phases: Optional[dict[int, bool]] = None,
         control: Optional[SolveControl] = None,
         on_decision: Optional[Callable[[int], None]] = None,
-        poll_clauses: Optional[Callable[[], list]] = None,
-        exporter: Optional[Callable[[list[int]], None]] = None,
     ) -> SolveOutcome:
+        """SAT with a model over the memory's variables, UNSAT (under the
+        assumptions), or UNKNOWN once ``control`` is cancelled.
+
+        Raises ``ConnectionError`` once the memory is lost and
+        ``_TooManyVariables`` when it counts more than ``MAX_SOLVE_VARIABLES``.
+        """
         self.phases = phases or {}
         self.phase[1:] = [0 if self.phases.get(v) else 1 for v in range(1, self.var_count + 1)]
         assumed = [_code(lit) for lit in assumptions]
@@ -341,12 +385,13 @@ class DpllSolver:
                 if conflict is not None:
                     if not trail_lim:
                         self.empty_clause = True
+                        self._flush()  # every other answer comes right after a read
                         return SolveOutcome(UNSAT)
                     learnt, back = self._analyze(conflict)
                     self._backjump(back)
                     self.learnts.append(learnt)
-                    if exporter is not None and len(learnt) <= EXPORT_MAX_LEN:
-                        exporter([_lit(code) for code in learnt])
+                    if self.export and len(learnt) <= EXPORT_MAX_LEN:
+                        self.exports.append(canonical_clause(map(_lit, learnt)))
                     if len(learnt) > 1:
                         self._watch(learnt)
                         self._assign(learnt[0], learnt)
@@ -354,13 +399,9 @@ class DpllSolver:
                         self._assign(learnt[0], None)
                     continue
 
-                # decision boundary: new clauses from the view, hook, control signals
-                if poll_clauses is not None:
-                    fresh = poll_clauses()
-                    if fresh:
-                        self.load(fresh)
-                        if self.qhead < len(self.trail) or self.empty_clause:
-                            continue
+                # decision boundary: the memory's new clauses, then control signals
+                if self._read() and (self.qhead < len(self.trail) or self.empty_clause):
+                    continue
                 if len(trail_lim) < len(assumed):
                     code = assumed[len(trail_lim)]
                     if vals[code] is False:
@@ -395,72 +436,34 @@ def _satisfies(model: list[bool], clauses: list[tuple[int, ...]]) -> bool:
 
 def run(
     view,
-    settings: Optional[DiversificationSettings] = None,
+    settings=None,
     control: Optional[SolveControl] = None,
     *,
     export: bool = False,
     on_decision: Optional[Callable[[int], None]] = None,
 ) -> SolveOutcome:
-    """Solve the CNF visible through ``view``, any memory of ``CnfStore``'s protocol.
+    """Solve the CNF in ``view``, any memory of ``CnfStore``'s protocol, with a
+    fresh ``DpllSolver`` that decides by ``settings.phases`` when given.
 
     Returns SAT with a full model, UNSAT, or UNKNOWN after a cancel, with
     ``MEMORY_UNAVAILABLE`` once the view is lost, or with
     ``TOO_MANY_VARIABLES`` before it allocates for more than
-    ``MAX_SOLVE_VARIABLES`` (at the start or at any poll). At each decision
-    boundary the solver loads the clauses appended since a clause-count
-    cursor; the first read, from 0, is the snapshot. With ``export``
-    enabled, learned clauses of at most ``EXPORT_MAX_LEN`` literals are
-    pushed back to the view, one batch per decision boundary; the last
-    boundary's batch goes before ``run`` answers. A SAT model is checked
-    against every clause taken before it is returned.
+    ``MAX_SOLVE_VARIABLES`` (at the start or at any read). A SAT model is
+    checked against every clause the solver loaded before it is returned.
     """
-    settings = settings or DiversificationSettings()
-    count = view.var_count
-    if count > MAX_SOLVE_VARIABLES:
+    if view.var_count > MAX_SOLVE_VARIABLES:
         return SolveOutcome(UNKNOWN, error="TOO_MANY_VARIABLES")
-    solver = DpllSolver(count)
-    taken: list[tuple[int, ...]] = []
-    cursor = 0
-    exports: list[list[int]] = []  # learned since the last decision boundary
-
-    def flush() -> None:
-        if exports:
-            raise_first_error(view.add_clauses(exports.copy()))
-            exports.clear()
-
-    def poll_live() -> list:
-        nonlocal count, cursor
-        if not view.alive:
-            raise ConnectionError("memory view lost")
-        flush()
-        fresh, cursor = view.clauses_since(cursor)
-        count = view.var_count
-        if count > MAX_SOLVE_VARIABLES:
-            raise _TooManyVariables
-        if fresh:
-            solver.ensure_vars(count)
-            taken.extend(fresh)
-        return fresh
-
+    solver = DpllSolver(view, export)
     try:
         outcome = solver.solve(
-            phases=settings.phases or {},
-            control=control,
-            on_decision=on_decision,
-            poll_clauses=poll_live,
-            exporter=exports.append if export else None,
+            phases=settings and settings.phases, control=control, on_decision=on_decision
         )
-        flush()
     except _TooManyVariables:
         return SolveOutcome(UNKNOWN, error="TOO_MANY_VARIABLES")
     except ConnectionError:
         return SolveOutcome(UNKNOWN, error="MEMORY_UNAVAILABLE")
     except Exception as exc:  # surface as UNKNOWN per solver contract
         return SolveOutcome(UNKNOWN, error=str(exc))
-    if outcome.result == SAT:
-        # the last poll's count: the search polls just before it answers SAT
-        model = outcome.model + [False] * (count - len(outcome.model))
-        if not _satisfies(model, taken):
-            return SolveOutcome(UNKNOWN, error="MODEL_CHECK_FAILED")
-        outcome = SolveOutcome(SAT, model=model)
+    if outcome.result == SAT and not _satisfies(outcome.model, solver.taken):
+        return SolveOutcome(UNKNOWN, error="MODEL_CHECK_FAILED")
     return outcome

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .circuits import CircuitBuilder
+from .cnf import ClauseRangeError
+
 VAR = "VAR"
 CONST = "CONST"
 NOT = "NOT"
@@ -133,6 +136,49 @@ def eval_expr(node: ExprNode, assignment: Sequence[bool]) -> bool:
     return go(node)
 
 
+def build_expression_circuit(root: ExprNode, builder: CircuitBuilder) -> int:
+    """Emit clauses tying a fresh literal to the expression's value; returns it.
+
+    Shared subexpressions (by node identity or gate structure) emit their
+    clauses once. Plain negations reuse the child's literal.
+    """
+    memo: dict[int, int] = {}
+
+    def go(node: ExprNode) -> int:
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        kind = node.kind
+        if kind == VAR:
+            if node.var_index > builder.base:
+                raise ClauseRangeError(
+                    f"variable x{node.var_index} beyond memory var count {builder.base}"
+                )
+            lit = node.var_index
+        elif kind == CONST:
+            lit = builder.const(node.bool_value)
+        elif kind == NOT:
+            lit = -go(node.children[0])
+        elif kind == AND:
+            lit = builder.and_many([go(c) for c in node.children])
+        elif kind == OR:
+            lit = builder.or_many([go(c) for c in node.children])
+        elif kind == XOR:
+            lit = builder.xor(go(node.children[0]), go(node.children[1]))
+        elif kind == MAJ3:
+            lit = builder.maj3(*(go(c) for c in node.children))
+        elif kind == IMPL:
+            lit = builder.impl(go(node.children[0]), go(node.children[1]))
+        elif kind == EQUIV:
+            lit = builder.equiv(go(node.children[0]), go(node.children[1]))
+        else:
+            raise ValueError(f"unknown node kind {kind}")
+        memo[key] = lit
+        return lit
+
+    return go(root)
+
+
 def lower_to_cnf(formula: ExprNode, view) -> list[list[int]]:
     """Emit an equisatisfiable CNF for ``formula`` into ``view``; returns the clauses.
 
@@ -140,8 +186,6 @@ def lower_to_cnf(formula: ExprNode, view) -> list[list[int]]:
     the formula as a circuit and asserts its output literal. Fresh gate
     variables are functionally determined by the originals.
     """
-    from .circuits import CircuitBuilder, build_expression_circuit  # circuits imports this module
-
     needed = formula.max_var()
     if view.var_count < needed:
         view.reserve_variables(needed - view.var_count)

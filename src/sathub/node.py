@@ -25,6 +25,9 @@ from .solving import (
 # Largest web-call body a node reads; a longer request is refused unread.
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
+# Most calls one Kernel.parallelize takes; it starts one thread per call.
+MAX_PARALLEL_CALLS = 64
+
 # Seconds a web-call connection may stall on one socket read or write
 # before the node drops it.
 REQUEST_TIMEOUT = 10.0
@@ -261,6 +264,10 @@ class ServerNode:
                 items = argument.get("calls") or []
                 if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
                     raise MalformedArgument("calls must be a list of objects")
+                if len(items) > MAX_PARALLEL_CALLS:
+                    raise MalformedArgument(
+                        f"calls: at most {MAX_PARALLEL_CALLS} calls, got {len(items)}"
+                    )
                 # every call's diversification is checked before any call's URL
                 settings = [_diversification(item) for item in items]
                 calls = [

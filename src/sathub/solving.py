@@ -1,4 +1,4 @@
-"""Shared-solver contract: diversification, outcomes, registry, and parallelize."""
+"""Shared-solver contract: diversification, registry, workers and parallelize."""
 
 from __future__ import annotations
 
@@ -9,6 +9,9 @@ import time
 import uuid
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from . import client, dpll
+from .dpll import SolveOutcome
 
 IDLE = "IDLE"
 BUSY = "BUSY"
@@ -73,25 +76,6 @@ class DiversificationSettings:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be a JSON integer, got {value!r}")
         return cls(rank=rank, size=size, phases=phases)
-
-
-@dataclass
-class SolveOutcome:
-    """Solver verdict; ``model`` is present exactly for SAT, ``error`` annotates failures."""
-
-    result: Optional[str]
-    model: Optional[list[bool]] = None
-    error: Optional[str] = None
-
-    def as_json(self) -> dict:
-        if self.result is None:
-            return {"error": self.error or "ERROR"}
-        out: dict = {"result": self.result}
-        if self.model is not None:
-            out["model"] = list(self.model)
-        if self.error is not None:
-            out["error"] = self.error
-        return out
 
 
 @dataclass
@@ -190,8 +174,6 @@ class SolverWorker:
         ``control`` (``dpll.SolveControl``) that is cancelled before the
         worker is taken answers UNKNOWN without solving.
         """
-        from . import dpll  # deferred: dpll depends on this module's types
-
         control = control or dpll.SolveControl(self._cv)
         with self._cv:
             end = time.monotonic() + max(0.0, timeout)
@@ -209,10 +191,8 @@ class SolverWorker:
         mirror = None
         try:
             if isinstance(memory, str):
-                from .client import connect
-
                 try:
-                    mirror = connect(memory)
+                    mirror = client.connect(memory)
                 except OSError:
                     return SolveOutcome(dpll.UNKNOWN, error="MEMORY_UNAVAILABLE")
                 view = mirror
@@ -289,8 +269,6 @@ def parallelize(
     the first SAT/UNSAT child cancels every sibling call, running or not yet
     started, and those report UNKNOWN.
     """
-    from . import dpll  # deferred: dpll depends on this module's types
-
     pool = itertools.cycle(registry.workers())
     assigned = [
         registry.get(call.solver_id) if call.solver_id is not None else next(pool, None)

@@ -40,9 +40,7 @@ class CircuitHarness:
         ctx = CircuitBuilder(self.store)
         self.output = build(ctx, *self.inputs)
         ctx.finalize()
-        self.solver = DpllSolver(self.store.var_count)
-        for clause in self.store.clause_tuples():
-            self.solver.add_clause(clause)
+        self.solver = DpllSolver(self.store)
 
     def eval(self, *values) -> int:
         assumptions = []
@@ -133,9 +131,7 @@ def test_criterion_04_semiprime_uniqueness():
         spec = FactorizationSpec.from_product(4, product)
         store = CnfStore(0)
         build_factorization(spec, store)
-        solver = DpllSolver(store.var_count)
-        for clause in store.clause_tuples():
-            solver.add_clause(clause)
+        solver = DpllSolver(store)
         models = 0
         while True:
             outcome = solver.solve()
@@ -143,7 +139,7 @@ def test_criterion_04_semiprime_uniqueness():
                 break
             models += 1
             assert models <= 1, f"product {product} has more than one model"
-            solver.add_clause(
+            store.add_clause(
                 [-(i + 1) if v else (i + 1) for i, v in enumerate(outcome.model)]
             )
         assert models == 1, f"product {product} yielded {models} models"

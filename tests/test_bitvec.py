@@ -20,9 +20,7 @@ class CircuitHarness:
         ctx = CircuitBuilder(self.store)
         self.output = build(ctx, *self.inputs)
         ctx.finalize()
-        self.solver = DpllSolver(self.store.var_count)
-        for clause in self.store.clause_tuples():
-            self.solver.add_clause(clause)
+        self.solver = DpllSolver(self.store)
 
     def eval(self, *values):
         assumptions = []

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from sathub.circuits import CircuitBuilder, build_expression_circuit
+from sathub.circuits import CircuitBuilder
 from sathub.client import connect
 from sathub.cnf import ClauseRangeError, CnfStore, canonical_clause
 from sathub.dpll import DpllSolver
-from sathub.exprs import ExprNode
+from sathub.exprs import ExprNode, build_expression_circuit
 from sathub.factoring import FactorizationSpec, build_factorization
 from sathub.service import MemoryService
 
@@ -101,10 +101,8 @@ def test_gate_semantics_exhaustive():
         ctx = CircuitBuilder(store)
         out = build(ctx)
         ctx.finalize()
+        solver = DpllSolver(store)
         for bits in itertools.product([False, True], repeat=arity):
-            solver = DpllSolver(store.var_count)
-            for clause in store.clause_tuples():
-                solver.add_clause(clause)
             assumptions = [i + 1 if b else -(i + 1) for i, b in enumerate(bits)]
             outcome = solver.solve(assumptions=assumptions)
             assert outcome.result == "SAT", name
@@ -168,15 +166,16 @@ def test_one_constant_variable():
 
 
 def projected_table(store, n):
-    """Truth table (as in ``oracles``) of the store's models projected onto x1..xn."""
-    solver = DpllSolver(store.var_count)
-    for clause in store.clause_tuples():
-        solver.add_clause(clause)
+    """Truth table (as in ``oracles``) of the store's models projected onto x1..xn;
+    blocks each model in a copy of the store."""
+    copy = CnfStore(store.var_count)
+    copy.add_clauses(store.clause_tuples())
+    solver = DpllSolver(copy)
     table = 0
     while (outcome := solver.solve()).result == "SAT":
         inputs = outcome.model[:n]
         table |= 1 << sum(1 << i for i, bit in enumerate(inputs) if bit)
-        solver.add_clause([-(i + 1) if bit else i + 1 for i, bit in enumerate(inputs)])
+        copy.add_clause([-(i + 1) if bit else i + 1 for i, bit in enumerate(inputs)])
     return table
 
 

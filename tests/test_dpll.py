@@ -194,9 +194,7 @@ def test_fold_in_batch_survives_mid_batch_rewind():
 
 
 def test_assumptions():
-    solver = DpllSolver(3)
-    solver.add_clause([1, 2])
-    solver.add_clause([-1, 3])
+    solver = DpllSolver(make_store([[1, 2], [-1, 3]], 3))
     assert solver.solve(assumptions=[-2]).result == "SAT"
     assert solver.solve(assumptions=[-2, -3]).result == "UNSAT"
     # solver is reusable after an assumption solve
@@ -204,15 +202,15 @@ def test_assumptions():
 
 
 def test_incremental_blocking_clauses_enumerate_models():
-    solver = DpllSolver(2)
-    solver.add_clause([1, 2])
+    store = make_store([[1, 2]], 2)
+    solver = DpllSolver(store)
     models = []
     while True:
         outcome = solver.solve()
         if outcome.result != "SAT":
             break
         models.append(tuple(outcome.model))
-        solver.add_clause(
+        store.add_clause(
             [-(i + 1) if value else (i + 1) for i, value in enumerate(outcome.model)]
         )
     assert outcome.result == "UNSAT"
@@ -222,12 +220,11 @@ def test_incremental_blocking_clauses_enumerate_models():
 
 def test_export_learned_short_clauses():
     store = make_store([[1, 2], [1, -2], [-1, 2], [-1, -2], [3, 4]], 4)
-    exported = []
+    original = store.clause_tuples()
 
-    solver = DpllSolver(store.var_count)
-    for clause in store.clause_tuples():
-        solver.add_clause(clause)
-    outcome = solver.solve(exporter=exported.append)
+    solver = DpllSolver(store, export=True)
+    outcome = solver.solve()
+    exported = store.clause_tuples()[len(original):]
     assert outcome.result == "UNSAT"
     assert exported  # the 2x2 contradiction yields conflict-derived clauses
     learned = {frozenset(c) for c in solver.learned}
@@ -235,7 +232,7 @@ def test_export_learned_short_clauses():
         assert 1 <= len(clause) <= 2
         assert frozenset(clause) in learned
     # every learned clause, exported or not, follows from the original ones
-    assert rup_refutes(store.clause_tuples(), solver.learned)
+    assert rup_refutes(original, solver.learned)
 
 
 def test_export_learned_goes_to_own_view():
@@ -270,8 +267,7 @@ def test_learned_clause_length_gate(run_solvers):
 
 
 def test_unsat_with_assumption_conflict_at_setup():
-    solver = DpllSolver(1)
-    solver.add_clause([1])
+    solver = DpllSolver(make_store([[1]], 1))
     assert solver.solve(assumptions=[-1]).result == "UNSAT"
     assert solver.solve(assumptions=[1]).result == "SAT"
 
@@ -388,3 +384,39 @@ def test_a_view_lost_before_the_first_poll_answers_memory_unavailable():
     store.alive = False
     outcome = run(store)
     assert (outcome.result, outcome.error) == ("UNKNOWN", "MEMORY_UNAVAILABLE")
+
+
+def spy_on_load(monkeypatch):
+    """The size of each batch ``DpllSolver.load`` attaches, in call order."""
+    loads = []
+    load = DpllSolver.load
+
+    def counted(self, clauses):
+        loads.append(len(clauses))
+        return load(self, clauses)
+
+    monkeypatch.setattr(DpllSolver, "load", counted)
+    return loads
+
+
+def test_an_exporting_solve_does_not_read_its_own_exports_back(monkeypatch):
+    clauses, n = php_clauses(4, 3)
+    store = make_store(clauses, n)
+    original = store.clause_tuples()
+    loads = spy_on_load(monkeypatch)
+    assert run(store, export=True).result == "UNSAT"
+    assert len(store.clause_tuples()) > len(original)  # it exported clauses
+    assert sum(loads) == len(original)
+
+
+def test_a_second_solve_loads_only_the_clauses_added_since(monkeypatch):
+    store = make_store([[1, 2, 3], [-1, 2], [-2, 3]], 3)
+    solver = DpllSolver(store)
+    loads = spy_on_load(monkeypatch)
+    first = solver.solve()
+    assert first.result == "SAT" and store.evaluate(first.model)
+    assert sum(loads) == 3
+    store.add_clauses([[-3], [1, 3]])
+    assert solver.solve().result == "UNSAT"
+    assert sum(loads) == 5
+    assert solver.taken == store.clause_tuples()

@@ -13,25 +13,7 @@ from oracles import expr_mask, table_context
 
 
 def solve_store(store, assumptions=()):
-    solver = DpllSolver(store.var_count)
-    for clause in store.clause_tuples():
-        solver.add_clause(clause)
-    return solver.solve(assumptions=assumptions)
-
-
-def count_models(store):
-    solver = DpllSolver(store.var_count)
-    for clause in store.clause_tuples():
-        solver.add_clause(clause)
-    count = 0
-    while True:
-        outcome = solver.solve()
-        if outcome.result != "SAT":
-            return count
-        count += 1
-        solver.add_clause(
-            [-(i + 1) if v else (i + 1) for i, v in enumerate(outcome.model)]
-        )
+    return DpllSolver(store).solve(assumptions=assumptions)
 
 
 def test_arity_validation():
@@ -140,9 +122,7 @@ def test_cnf_models_project_bijectively():
         store = CnfStore(n)
         lower_to_cnf(expr, store)
 
-        solver = DpllSolver(store.var_count)
-        for clause in store.clause_tuples():
-            solver.add_clause(clause)
+        solver = DpllSolver(store)
         cnf_models = 0
         while True:
             outcome = solver.solve()
@@ -151,7 +131,7 @@ def test_cnf_models_project_bijectively():
             cnf_models += 1
             # projection of every CNF model satisfies the formula
             assert eval_expr(expr, outcome.model[:n])
-            solver.add_clause(
+            store.add_clause(
                 [-(i + 1) if v else (i + 1) for i, v in enumerate(outcome.model)]
             )
         assert cnf_models == formula_models
@@ -178,10 +158,7 @@ def test_lowering_into_a_live_mirror():
             # the inputs, then exactly the gate variables: no padding
             assert obj.view.var_count == mirror.var_count == local.var_count
             assert set(obj.view.clause_tuples()) == {canonical_clause(c) for c in clauses}
-            solver = DpllSolver(obj.view.var_count)
-            for clause in obj.view.clause_tuples():
-                solver.add_clause(clause)
-            assert (solver.solve().result == "SAT") == (expr_mask(expr, masks, full) != 0)
+            assert (DpllSolver(obj.view).solve().result == "SAT") == (expr_mask(expr, masks, full) != 0)
             service.delete_memory(obj.object_id)
     finally:
         service.shutdown()

@@ -16,22 +16,18 @@ def encode(l, product):
     return spec, store, layout
 
 
-def solver_for(store):
-    solver = DpllSolver(store.var_count)
-    for clause in store.clause_tuples():
-        solver.add_clause(clause)
-    return solver
-
-
 def enumerate_models(store, limit=10):
-    solver = solver_for(store)
+    """Up to ``limit`` models of the store, each blocked in a copy of it."""
+    copy = CnfStore(store.var_count)
+    copy.add_clauses(store.clause_tuples())
+    solver = DpllSolver(copy)
     models = []
     while len(models) < limit:
         outcome = solver.solve()
         if outcome.result != "SAT":
             break
         models.append(outcome.model)
-        solver.add_clause(
+        copy.add_clause(
             [-(i + 1) if v else (i + 1) for i, v in enumerate(outcome.model)]
         )
     return models
@@ -139,7 +135,7 @@ def test_l2_unrepresentable_factors_unsat(run_solvers):
 def test_remaining_variables_all_determined():
     # fixing the factor bits of a SAT instance forces every auxiliary variable
     spec, store, layout = encode(4, 21)
-    solver = solver_for(store)
+    solver = DpllSolver(store)
     assumptions = []
     for var, bit in zip(layout["uVars"], [True, True, True, False]):  # u = 7
         assumptions.append(var if bit else -var)
@@ -147,7 +143,7 @@ def test_remaining_variables_all_determined():
         assumptions.append(var if bit else -var)
     first = solver.solve(assumptions=assumptions)
     assert first.result == "SAT"
-    solver.add_clause([-(i + 1) if v else (i + 1) for i, v in enumerate(first.model)])
+    store.add_clause([-(i + 1) if v else (i + 1) for i, v in enumerate(first.model)])
     assert solver.solve(assumptions=assumptions).result == "UNSAT"
 
 

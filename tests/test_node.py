@@ -8,7 +8,7 @@ import pytest
 
 from sathub import node as node_module
 from sathub.client import connect
-from sathub.node import MAX_REQUEST_BYTES, ServerNode
+from sathub.node import MAX_PARALLEL_CALLS, MAX_REQUEST_BYTES, ServerNode
 from sathub.rpc import TransportError, web_call
 
 from gens import gated_php
@@ -347,6 +347,12 @@ BAD_MEMORY_URLS = [
     ("Kernel.parallelize", {"calls": [{"satMemoryUrl": "tcp://:1"}]}),
 ]
 
+# Answers "MALFORMED_ENVELOPE: calls: <reason>" before any call's thread starts.
+TOO_MANY_CALLS = (
+    "Kernel.parallelize",
+    {"calls": [{"satMemoryUrl": "tcp://127.0.0.1:1", "solverId": "none"}] * (MAX_PARALLEL_CALLS + 1)},
+)
+
 
 @pytest.mark.parametrize(
     "method, argument",
@@ -391,6 +397,7 @@ BAD_MEMORY_URLS = [
         ("Kernel.parallelize", {"calls": [{"diversification": {"size": float("inf")}}]}),
         ("Kernel.parallelize", {"calls": [{"solverId": ["x"], "satMemoryUrl": "tcp://127.0.0.1:1"}]}),
         ("Kernel.parallelize", {"calls": [{"solverId": 5, "satMemoryUrl": "tcp://127.0.0.1:1"}]}),
+        TOO_MANY_CALLS,
     ],
 )
 def test_bad_argument_answers_malformed_envelope(node, method, argument):
@@ -404,7 +411,9 @@ def test_bad_argument_answers_malformed_envelope(node, method, argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: satMemoryUrl: "), reply
     if "'timeout'" in str(argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: timeout: "), reply
-    if "'solverId'" in str(argument):
+    if (method, argument) == TOO_MANY_CALLS:
+        assert reply["error"].startswith("MALFORMED_ENVELOPE: calls: "), reply
+    elif "'solverId'" in str(argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: solverId: "), reply
     if method == "SatCnf.create" and isinstance(argument["initialVariableCount"], int):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: initialVariableCount: "), reply
