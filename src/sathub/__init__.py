@@ -9,20 +9,13 @@ from .exprs import ExprNode, build_expression_circuit, eval_expr, lower_to_cnf
 from .factoring import FactorizationSpec, build_factorization, decode_model
 from .node import ServerNode
 from .service import MemoryService
-from .solving import (
-    DiversificationSettings,
-    SolveCall,
-    SolverRegistry,
-    SolverWorker,
-    parallelize,
-)
+from .solving import SolveCall, SolverRegistry, SolverWorker, parallelize
 
 __all__ = [
     "BitVec",
     "CircuitBuilder",
     "ClauseRangeError",
     "CnfStore",
-    "DiversificationSettings",
     "DpllSolver",
     "ExprNode",
     "FactorizationSpec",

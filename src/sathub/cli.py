@@ -44,7 +44,7 @@ def cmd_serve(args) -> int:
         return EXIT_ERROR
     try:
         node = ServerNode(host=args.host, port=args.port, workers=args.workers)
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:  # OverflowError: a port outside 0..65535
         print(f"error: cannot listen on port {args.port}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     node.start()
@@ -86,8 +86,12 @@ def cmd_encode(args) -> int:
             f"u vars {_var_range(layout['uVars'])}",
             f"v vars {_var_range(layout['vVars'])}",
         ]
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dimacs.dumps(store, comments=comments))
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(dimacs.dumps(store, comments=comments))
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_ERROR
         vars_total = store.var_count
         clauses_total = store.version
 
@@ -100,14 +104,6 @@ def cmd_encode(args) -> int:
 
 def _var_range(bits: list[int]) -> str:
     return f"{min(bits)}..{max(bits)} (MSB first)"
-
-
-def _pick_outcome(results: list[dict]) -> dict:
-    for wanted in ("SAT", "UNSAT"):
-        for item in results:
-            if item.get("result") == wanted:
-                return item
-    return results[0] if results else {"error": "no results"}
 
 
 def cmd_factor(args) -> int:
@@ -138,43 +134,19 @@ def cmd_factor(args) -> int:
             finally:
                 mirror.close()
 
-            if args.portfolio <= 1:
-                found = web_call(
-                    endpoint, "Kernel.findAvailable", {"timeout": args.wait}, web_pid=web_pid
-                )
-                if "error" in found:
-                    print(f"error: {found['error']}", file=sys.stderr)
-                    return EXIT_ERROR
-                outcome = web_call(
-                    endpoint,
-                    "SatSolver.solve",
-                    {
-                        "satMemoryUrl": created["directUrl"],
-                        "timeout": args.wait,
-                        "diversification": {"rank": 0, "size": 1},
-                    },
-                    object_ref=found["solverId"],
-                    web_pid=web_pid,
-                )
-            else:
-                calls = [
-                    {
-                        "satMemoryUrl": created["directUrl"],
-                        "timeout": args.wait,
-                        "diversification": {"rank": rank, "size": args.portfolio},
-                    }
-                    for rank in range(args.portfolio)
-                ]
-                reply = web_call(
-                    endpoint,
-                    "Kernel.parallelize",
-                    {"calls": calls, "firstSatCancels": True},
-                    web_pid=web_pid,
-                )
-                if "error" in reply:
-                    print(f"error: {reply['error']}", file=sys.stderr)
-                    return EXIT_ERROR
-                outcome = _pick_outcome(reply.get("results") or [])
+            found = web_call(
+                endpoint, "Kernel.findAvailable", {"timeout": args.wait}, web_pid=web_pid
+            )
+            if "error" in found:
+                print(f"error: {found['error']}", file=sys.stderr)
+                return EXIT_ERROR
+            outcome = web_call(
+                endpoint,
+                "SatSolver.solve",
+                {"satMemoryUrl": created["directUrl"], "timeout": args.wait},
+                object_ref=found["solverId"],
+                web_pid=web_pid,
+            )
         finally:
             web_call(endpoint, "SatCnf.delete", object_ref=created["objectRef"], web_pid=web_pid)
     except OSError as exc:  # a TransportError or a mirror that lost its hub
@@ -242,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     factor.add_argument("number", type=int)
     factor.add_argument("--l", type=int, required=True)
     factor.add_argument("--endpoint", default=None)
-    factor.add_argument("--portfolio", type=int, default=1)
     factor.add_argument(
         "--wait", type=float, default=60.0, help="solver acquisition timeout (seconds)"
     )
@@ -256,7 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_ERROR if exc.code else EXIT_SAT
     return args.func(args)
 
 

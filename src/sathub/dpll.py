@@ -436,14 +436,14 @@ def _satisfies(model: list[bool], clauses: list[tuple[int, ...]]) -> bool:
 
 def run(
     view,
-    settings=None,
+    phases: Optional[dict[int, bool]] = None,
     control: Optional[SolveControl] = None,
     *,
     export: bool = False,
     on_decision: Optional[Callable[[int], None]] = None,
 ) -> SolveOutcome:
     """Solve the CNF in ``view``, any memory of ``CnfStore``'s protocol, with a
-    fresh ``DpllSolver`` that decides by ``settings.phases`` when given.
+    fresh ``DpllSolver`` that decides by ``phases`` when given.
 
     Returns SAT with a full model, UNSAT, or UNKNOWN after a cancel, with
     ``MEMORY_UNAVAILABLE`` once the view is lost, or with
@@ -455,9 +455,7 @@ def run(
         return SolveOutcome(UNKNOWN, error="TOO_MANY_VARIABLES")
     solver = DpllSolver(view, export)
     try:
-        outcome = solver.solve(
-            phases=settings and settings.phases, control=control, on_decision=on_decision
-        )
+        outcome = solver.solve(phases=phases, control=control, on_decision=on_decision)
     except _TooManyVariables:
         return SolveOutcome(UNKNOWN, error="TOO_MANY_VARIABLES")
     except ConnectionError:

@@ -4,6 +4,7 @@ the solver registry, and a pool of reference solver workers."""
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -13,7 +14,6 @@ from .client import parse_direct_url
 from .cnf import raise_first_error
 from .service import MemoryService, NoSuchMemory
 from .solving import (
-    DiversificationSettings,
     NoSolverAvailable,
     SolveCall,
     SolverBusy,
@@ -35,6 +35,9 @@ REQUEST_TIMEOUT = 10.0
 # Seconds between the HTTP server's checks for a shutdown request; ``stop``
 # waits up to this long.
 POLL_INTERVAL = 0.05
+
+# A phase key names one variable, "x" and its index, as the whole key.
+_PHASE_KEY = re.compile(r"x([1-9][0-9]*)")
 
 
 class MalformedArgument(ValueError):
@@ -66,11 +69,11 @@ def _timeout(argument: dict) -> float:
     )
 
 
-def _solver_id(argument: dict) -> Optional[str]:
-    """``argument["solverId"]``, None when absent, if it is a string; MalformedArgument if not."""
-    value = argument.get("solverId")
+def _string(obj: dict, key: str) -> Optional[str]:
+    """``obj[key]``, None when absent or null, if it is a string; MalformedArgument if not."""
+    value = obj.get(key)
     if value is not None and not isinstance(value, str):
-        raise MalformedArgument(f"solverId: must be a string, got {value!r}")
+        raise MalformedArgument(f"{key}: must be a string, got {value!r}")
     return value
 
 
@@ -82,12 +85,30 @@ def _flag(argument: dict, key: str) -> bool:
     return value
 
 
-def _diversification(argument: dict) -> DiversificationSettings:
-    """The settings under ``argument["diversification"]``; MalformedArgument if invalid."""
-    try:
-        return DiversificationSettings.from_json(argument.get("diversification"))
-    except ValueError as exc:
-        raise MalformedArgument(f"diversification: {exc}") from None
+def _phases(argument: dict) -> Optional[dict[int, bool]]:
+    """The phases under ``argument["diversification"]``, by variable, or None
+    when there are none; MalformedArgument if invalid. The diversification's
+    other keys are ignored."""
+    diversification = argument.get("diversification")
+    if diversification is None:
+        return None
+    if not isinstance(diversification, dict):
+        raise MalformedArgument("diversification: must be a JSON object")
+    phases = diversification.get("phases")
+    if phases is None:
+        return None
+    if not isinstance(phases, dict):
+        raise MalformedArgument("diversification: phases must be a JSON object")
+    by_var = {}
+    for key in phases:
+        match = _PHASE_KEY.fullmatch(key)
+        if not match:
+            raise MalformedArgument(f"diversification: bad phase key: {key!r}")
+        by_var[int(match.group(1))] = phases[key]
+    for var, value in by_var.items():
+        if not isinstance(value, bool):
+            raise MalformedArgument(f"diversification: phase for x{var} must be a boolean")
+    return by_var
 
 
 def _memory_url(argument: dict) -> str:
@@ -202,19 +223,15 @@ class ServerNode:
         """
         if not isinstance(envelope, dict):
             return {"error": "MALFORMED_ENVELOPE: envelope must be a JSON object"}
-        method = envelope.get("method") or ""
-        web_pid = envelope.get("webPid") or ""
-        object_ref = envelope.get("objectRef") or ""
-        argument = envelope.get("argument")
-        if argument is None:
-            argument = {}
-        if not isinstance(method, str):
-            return {"error": "MALFORMED_ENVELOPE: method must be a string"}
-        if not isinstance(object_ref, str):
-            return {"error": f"MALFORMED_ENVELOPE: objectRef: must be a string, got {object_ref!r}"}
-        if not isinstance(argument, dict):
-            return {"error": "MALFORMED_ENVELOPE: argument must be a JSON object"}
         try:
+            method = _string(envelope, "method") or ""
+            object_ref = _string(envelope, "objectRef") or ""
+            web_pid = _string(envelope, "webPid") or ""
+            argument = envelope.get("argument")
+            if argument is None:
+                argument = {}
+            if not isinstance(argument, dict):
+                raise MalformedArgument("argument must be a JSON object")
             if method == "SatCnf.create":
                 count = _count(argument, "initialVariableCount")
                 if not 0 <= count <= wire.MAX_VARIABLE:
@@ -249,11 +266,11 @@ class ServerNode:
                 if method == "SatSolver.solve":
                     # a bad timeout or diversification is named before a bad URL
                     timeout = _timeout(argument)
-                    diversification = _diversification(argument)
+                    phases = _phases(argument)
                     outcome = worker.solve(
                         self._solve_target(argument),
                         timeout=timeout,
-                        diversification=diversification,
+                        phases=phases,
                         web_pid=web_pid,
                     )
                     return outcome.as_json()
@@ -269,15 +286,15 @@ class ServerNode:
                         f"calls: at most {MAX_PARALLEL_CALLS} calls, got {len(items)}"
                     )
                 # every call's diversification is checked before any call's URL
-                settings = [_diversification(item) for item in items]
+                phases = [_phases(item) for item in items]
                 calls = [
                     SolveCall(
-                        solver_id=_solver_id(item),
+                        solver_id=_string(item, "solverId"),
                         timeout=_timeout(item),
-                        diversification=diversification,
+                        phases=item_phases,
                         memory=self._solve_target(item),
                     )
-                    for item, diversification in zip(items, settings)
+                    for item, item_phases in zip(items, phases)
                 ]
                 results = parallelize(
                     self.registry,

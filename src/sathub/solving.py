@@ -1,9 +1,8 @@
-"""Shared-solver contract: diversification, registry, workers and parallelize."""
+"""Shared-solver contract: registry, workers and parallelize."""
 
 from __future__ import annotations
 
 import itertools
-import re
 import threading
 import time
 import uuid
@@ -16,8 +15,6 @@ from .dpll import SolveOutcome
 IDLE = "IDLE"
 BUSY = "BUSY"
 PAUSED = "PAUSED"
-
-_PHASE_KEY = re.compile(r"^x([1-9][0-9]*)$")
 
 
 class SolverBusy(Exception):
@@ -34,48 +31,6 @@ class WebPidMismatch(Exception):
 
 class NoSolverAvailable(Exception):
     """No registered solver became IDLE within the timeout."""
-
-
-@dataclass
-class DiversificationSettings:
-    """Portfolio settings: solver index, portfolio size, initial variable phases."""
-
-    rank: int = 0
-    size: int = 1
-    phases: Optional[dict[int, bool]] = None
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.rank < self.size:
-            raise ValueError(f"rank {self.rank} outside [0, {self.size})")
-        if self.phases is not None:
-            for var, value in self.phases.items():
-                if not isinstance(var, int) or var < 1:
-                    raise ValueError(f"bad phase variable: {var!r}")
-                if not isinstance(value, bool):
-                    raise ValueError(f"phase for x{var} must be a boolean")
-
-    @classmethod
-    def from_json(cls, obj) -> "DiversificationSettings":
-        """Settings from a web-call value; ValueError says what is malformed."""
-        obj = {} if obj is None else obj
-        if not isinstance(obj, dict):
-            raise ValueError("must be a JSON object")
-        phases = obj.get("phases")
-        if phases is not None:
-            if not isinstance(phases, dict):
-                raise ValueError("phases must be a JSON object")
-            by_var = {}
-            for key, value in phases.items():
-                match = _PHASE_KEY.match(str(key))
-                if not match:
-                    raise ValueError(f"bad phase key: {key!r}")
-                by_var[int(match.group(1))] = value  # __post_init__ checks it is a boolean
-            phases = by_var
-        rank, size = obj.get("rank", 0), obj.get("size", 1)
-        for name, value in (("rank", rank), ("size", size)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be a JSON integer, got {value!r}")
-        return cls(rank=rank, size=size, phases=phases)
 
 
 @dataclass
@@ -162,7 +117,7 @@ class SolverWorker:
         memory,
         *,
         timeout: float = 0.0,
-        diversification: Optional[DiversificationSettings] = None,
+        phases: Optional[dict[int, bool]] = None,
         web_pid: str = "",
         on_decision=None,
         control=None,
@@ -200,7 +155,7 @@ class SolverWorker:
                 view = memory
             return dpll.run(
                 view,
-                diversification,
+                phases,
                 control,
                 export=self.export,
                 on_decision=on_decision,
@@ -251,7 +206,7 @@ class SolveCall:
     memory: object
     solver_id: Optional[str] = None
     timeout: float = 0.0
-    diversification: Optional[DiversificationSettings] = None
+    phases: Optional[dict[int, bool]] = None
 
 
 def parallelize(
@@ -288,7 +243,7 @@ def parallelize(
                 outcome = worker.solve(
                     call.memory,
                     timeout=call.timeout,
-                    diversification=call.diversification,
+                    phases=call.phases,
                     web_pid=web_pid,
                     control=controls[slot],
                 )

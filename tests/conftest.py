@@ -61,11 +61,11 @@ def hold_runs(hold, monkeypatch):
     def install():
         run = dpll.run
 
-        def held_run(view, settings=None, control=None, **kwargs):
-            if not (settings and settings.phases):
+        def held_run(view, phases=None, control=None, **kwargs):
+            if not phases:
                 views.append(view)
                 kwargs["on_decision"] = hold
-            return run(view, settings, control, **kwargs)
+            return run(view, phases, control, **kwargs)
 
         monkeypatch.setattr(dpll, "run", held_run)
         return views

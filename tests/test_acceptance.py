@@ -20,7 +20,7 @@ from sathub.dpll import DpllSolver, SolveControl, run
 from sathub.exprs import lower_to_cnf
 from sathub.node import ServerNode
 from sathub.service import MemoryService
-from sathub.solving import DiversificationSettings, SolveCall, SolverBusy, SolverRegistry, SolverWorker, parallelize
+from sathub.solving import SolveCall, SolverBusy, SolverRegistry, SolverWorker, parallelize
 
 from gens import gated_php, random_cnf, random_expr
 from oracles import cnf_satisfiable, expr_mask, karatsuba_terms, php_clauses, rup_refutes, table_context, two_factor_pairs
@@ -332,10 +332,7 @@ def test_criterion_10_parallelize_join(hold_runs):
     easy = CnfStore(3)
     easy.add_clause([1, 2])
     easy.add_clause([-1, 3])
-    calls = [
-        SolveCall(memory=easy, diversification=DiversificationSettings(rank=r, size=3))
-        for r in range(3)
-    ]
+    calls = [SolveCall(memory=easy, phases={v: True}) for v in (1, 2, 3)]
     results = parallelize(registry, calls, web_pid="parent")
     assert len(results) == 3
     for outcome in results:
@@ -350,12 +347,9 @@ def test_criterion_10_parallelize_join(hold_runs):
     for clause in clauses:
         gated.add_clause(clause)
     calls = [
-        SolveCall(
-            memory=gated,
-            diversification=DiversificationSettings(rank=0, size=3, phases={1: True}),
-        ),
-        SolveCall(memory=gated, diversification=DiversificationSettings(rank=1, size=3)),
-        SolveCall(memory=gated, diversification=DiversificationSettings(rank=2, size=3)),
+        SolveCall(memory=gated, phases={1: True}),
+        SolveCall(memory=gated),
+        SolveCall(memory=gated),
     ]
     results = parallelize(registry, calls, first_sat_cancels=True, web_pid="parent")
     assert len(results) == 3

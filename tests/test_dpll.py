@@ -5,7 +5,6 @@ from sathub.client import connect
 from sathub.cnf import CnfStore
 from sathub.dpll import DpllSolver, SolveControl, run
 from sathub.service import MemoryService
-from sathub.solving import DiversificationSettings
 
 from gens import random_cnf
 from oracles import cnf_satisfiable, php_clauses, rup_refutes
@@ -32,11 +31,11 @@ def test_immediate_contradiction():
 
 def test_phase_is_honored_on_first_decision():
     store = make_store([[1, 2]], 2)
-    outcome = run(store, DiversificationSettings(phases={1: False}))
+    outcome = run(store, {1: False})
     assert outcome.result == "SAT"
     assert outcome.model == [False, True]
 
-    outcome = run(store, DiversificationSettings(phases={1: True}))
+    outcome = run(store, {1: True})
     assert outcome.result == "SAT"
     assert outcome.model[0] is True
 

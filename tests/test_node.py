@@ -8,6 +8,7 @@ import pytest
 
 from sathub import node as node_module
 from sathub.client import connect
+from sathub.factoring import FactorizationSpec, build_factorization, decode_model
 from sathub.node import MAX_PARALLEL_CALLS, MAX_REQUEST_BYTES, ServerNode
 from sathub.rpc import TransportError, web_call
 
@@ -164,6 +165,49 @@ def test_parallelize_empty_over_http(node):
     assert call(node, "Kernel.parallelize", {"calls": []}) == {"results": []}
 
 
+def test_first_sat_cancels_over_http(node):
+    created = call(node, "SatCnf.create", {"initialVariableCount": 0})
+    spec = FactorizationSpec.from_product(8, 8633)
+    mirror = connect(created["directUrl"])
+    try:
+        build_factorization(spec, mirror)
+    finally:
+        mirror.close()
+    calls = [{"satMemoryUrl": created["directUrl"], "timeout": 5}] * 3
+    reply = call(node, "Kernel.parallelize", {"calls": calls, "firstSatCancels": True})
+    results = reply["results"]
+    assert len(results) == 3
+    assert {r["result"] for r in results} <= {"SAT", "UNKNOWN"}
+    sat = [r for r in results if r["result"] == "SAT"]
+    assert sat
+    assert all(decode_model(r["model"], spec) == (97, 89) for r in sat)
+    assert [s["state"] for s in call(node, "Kernel.listSolvers")["solvers"]] == ["IDLE"] * 3
+
+
+def test_rank_and_size_of_old_clients_are_ignored(node):
+    created = fill_memory(node, [[1, 2], [-1, 3]], 3)
+    solver_id = call(node, "Kernel.listSolvers")["solvers"][0]["solverId"]
+
+    def solve(argument):
+        argument = {"satMemoryUrl": created["directUrl"], **argument}
+        return call(node, "SatSolver.solve", argument, object_ref=solver_id)
+
+    plain = solve({})
+    assert plain["result"] == "SAT"
+    for diversification in ({"rank": 0, "size": 1}, {"rank": 2, "size": 2}):
+        assert solve({"diversification": diversification}) == plain
+
+
+def test_phases_over_http(node):
+    created = fill_memory(node, [[1, 2]], 2)
+    solver_id = call(node, "Kernel.listSolvers")["solvers"][0]["solverId"]
+    for value in (True, False):
+        argument = {"satMemoryUrl": created["directUrl"], "diversification": {"phases": {"x1": value}}}
+        outcome = call(node, "SatSolver.solve", argument, object_ref=solver_id)
+        assert outcome["result"] == "SAT"
+        assert outcome["model"][0] is value
+
+
 def test_solver_reads_live_memory_through_mirror(node):
     created = call(node, "SatCnf.create", {"initialVariableCount": 2})
     mirror = connect(created["directUrl"])
@@ -276,6 +320,19 @@ def test_malformed_envelope(node):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: "), envelope
 
 
+@pytest.mark.parametrize("name", ["method", "objectRef", "webPid"])
+@pytest.mark.parametrize("value", [0, False, [], {"ref": 1}], ids=["zero", "false", "list", "object"])
+def test_non_string_envelope_field_answers_malformed_envelope(node, name, value):
+    reply = post_envelope(node, {"method": "Kernel.listSolvers", name: value})
+    assert reply == {"error": f"MALFORMED_ENVELOPE: {name}: must be a string, got {value!r}"}
+
+
+def test_null_envelope_fields_take_their_defaults(node):
+    envelope = {"method": "Kernel.listSolvers", "objectRef": None, "webPid": None}
+    assert len(post_envelope(node, envelope)["solvers"]) == 3
+    assert post_envelope(node, {"method": None}) == {"error": "NO_SUCH_METHOD"}
+
+
 def raw_post(node, headers: bytes, body: bytes = b""):
     """Send one hand-made request; returns the reply's JSON body, read until the node closes."""
     host, port = node._httpd.server_address[:2]
@@ -365,13 +422,13 @@ TOO_MANY_CALLS = (
         ("SatCnf.create", {"initialVariableCount": "x"}),
         ("SatCnf.create", {"initialVariableCount": None}),
         ("SatSolver.solve", {"diversification": 5}),
-        ("SatSolver.solve", {"diversification": {"rank": "x"}}),
-        ("SatSolver.solve", {"diversification": {"rank": 2, "size": 2}}),
+        ("SatSolver.solve", {"diversification": {"phases": {"x5\n": True}}}),
+        ("SatSolver.solve", {"diversification": {"phases": {"x0": True}}}),
         ("SatSolver.solve", {"diversification": {"phases": [1]}}),
         ("SatSolver.solve", {"diversification": {"phases": {"y1": True}}}),
         ("SatSolver.solve", {"diversification": {"phases": {"x1": "yes"}}}),
         ("SatSolver.solve", {"diversification": {"phases": {"x1": "false"}}}),
-        ("Kernel.parallelize", {"calls": [{"diversification": {"size": "z"}}]}),
+        ("Kernel.parallelize", {"calls": [{"diversification": {"phases": {"x1": 1}}}]}),
         ("Kernel.parallelize", {"calls": [{}, {"diversification": [1]}]}),
     ]
     + BAD_MEMORY_URLS
@@ -391,10 +448,10 @@ TOO_MANY_CALLS = (
         ("Kernel.findAvailable", {"timeout": float("nan")}),
         ("SatSolver.solve", {"timeout": float("inf")}),
         ("Kernel.parallelize", {"calls": [{"timeout": float("-inf")}]}),
-        ("SatSolver.solve", {"diversification": {"size": "2"}}),
-        ("SatSolver.solve", {"diversification": {"rank": 0.5}}),
-        ("SatSolver.solve", {"diversification": {"rank": True, "size": 2}}),
-        ("Kernel.parallelize", {"calls": [{"diversification": {"size": float("inf")}}]}),
+        ("SatSolver.solve", {"diversification": {"phases": {"x01": True}}}),
+        ("SatSolver.solve", {"diversification": {"phases": {"1": True}}}),
+        ("SatSolver.solve", {"diversification": {"phases": {"x1": None}}}),
+        ("Kernel.parallelize", {"calls": [{"diversification": {"phases": "x1"}}]}),
         ("Kernel.parallelize", {"calls": [{"solverId": ["x"], "satMemoryUrl": "tcp://127.0.0.1:1"}]}),
         ("Kernel.parallelize", {"calls": [{"solverId": 5, "satMemoryUrl": "tcp://127.0.0.1:1"}]}),
         TOO_MANY_CALLS,

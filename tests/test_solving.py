@@ -8,7 +8,6 @@ from sathub.client import connect
 from sathub.cnf import CnfStore
 from sathub.service import MemoryService
 from sathub.solving import (
-    DiversificationSettings,
     NoSolverAvailable,
     SolveCall,
     SolveOutcome,
@@ -64,26 +63,6 @@ def wait_for_state(worker, state, timeout=5.0):
     return wait_until(lambda: worker.record.state == state, timeout)
 
 
-# -- diversification settings -------------------------------------------------
-
-
-def test_diversification_validation():
-    with pytest.raises(ValueError):
-        DiversificationSettings(rank=2, size=2)
-    with pytest.raises(ValueError):
-        DiversificationSettings(rank=-1, size=1)
-    with pytest.raises(ValueError):
-        DiversificationSettings(phases={0: True})
-    settings = DiversificationSettings.from_json(
-        {"rank": 1, "size": 3, "phases": {"x5": True, "x1": False}}
-    )
-    assert settings.phases == {5: True, 1: False}
-    with pytest.raises(ValueError):
-        DiversificationSettings.from_json({"phases": {"y1": True}})
-    with pytest.raises(ValueError):
-        DiversificationSettings.from_json({"phases": {"x1": "yes"}})
-
-
 def test_outcome_json_roundtrip():
     sat = SolveOutcome("SAT", model=[True, False])
     assert sat.as_json() == {"result": "SAT", "model": [True, False]}
@@ -136,7 +115,7 @@ def test_solve_simple_outcomes():
     assert worker.solve(make_store([[1], [-1]], 1)).result == "UNSAT"
     outcome = worker.solve(
         make_store([[1, 2]], 2),
-        diversification=DiversificationSettings(phases={1: False}),
+        phases={1: False},
     )
     assert outcome.result == "SAT"
     assert outcome.model == [False, True]
@@ -310,10 +289,7 @@ def test_parallelize_three_diversified_children():
     for _ in range(3):
         SolverWorker(registry)
     store = make_store([[1, 2], [-1, 2], [3, -2]], 3)
-    calls = [
-        SolveCall(memory=store, diversification=DiversificationSettings(rank=r, size=3))
-        for r in range(3)
-    ]
+    calls = [SolveCall(memory=store, phases={v: True}) for v in (1, 2, 3)]
     results = parallelize(registry, calls, web_pid="parent")
     assert len(results) == 3
     for outcome in results:
@@ -352,12 +328,9 @@ def test_parallelize_first_sat_cancels_siblings(hold_runs):
     clauses, n = gated_php(3, 2)
     store = make_store(clauses, n)
     calls = [
-        SolveCall(
-            memory=store,
-            diversification=DiversificationSettings(rank=0, size=3, phases={1: True}),
-        ),
-        SolveCall(memory=store, diversification=DiversificationSettings(rank=1, size=3)),
-        SolveCall(memory=store, diversification=DiversificationSettings(rank=2, size=3)),
+        SolveCall(memory=store, phases={1: True}),
+        SolveCall(memory=store),
+        SolveCall(memory=store),
     ]
     results = parallelize(registry, calls, first_sat_cancels=True, web_pid="parent")
     assert len(results) == 3
