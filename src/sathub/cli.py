@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 from . import dimacs
 from .client import connect
@@ -17,7 +16,7 @@ from .cnf import CnfStore
 from .dpll import run as run_solver
 from .factoring import FactorizationSpec, build_factorization, decode_model
 from .node import ServerNode
-from .rpc import web_call
+from .rpc import TransportError, web_call
 
 EXIT_SAT = 0
 EXIT_UNSAT = 20
@@ -47,15 +46,13 @@ def cmd_serve(args) -> int:
     except (OSError, OverflowError) as exc:  # OverflowError: a port outside 0..65535
         print(f"error: cannot listen on port {args.port}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    node.start()
     print(f"serving at {node.endpoint} with {len(node.workers)} solver workers")
     print(f"export {ENDPOINT_ENV}={node.endpoint} for the factor command")
     try:
-        while True:
-            time.sleep(3600)
+        node.serve()
     except KeyboardInterrupt:
         node.stop()
-        return EXIT_SAT
+    return EXIT_SAT
 
 
 def cmd_encode(args) -> int:
@@ -106,6 +103,21 @@ def _var_range(bits: list[int]) -> str:
     return f"{min(bits)}..{max(bits)} (MSB first)"
 
 
+def _reply_field(reply: dict, key: str, bits: int = 0):
+    """``reply[key]`` if it is a string or, given ``bits``, a list of at least
+    that many booleans; a ``TransportError`` naming the field if not."""
+    value = reply.get(key)
+    if bits:
+        valid = (
+            isinstance(value, list) and len(value) >= bits and all(type(b) is bool for b in value)
+        )
+    else:
+        valid = isinstance(value, str)
+    if not valid:
+        raise TransportError(f"malformed reply: {key}: {value!r:.80}")
+    return value
+
+
 def cmd_factor(args) -> int:
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
@@ -127,8 +139,10 @@ def cmd_factor(args) -> int:
         if "error" in created:
             print(f"error: {created['error']}", file=sys.stderr)
             return EXIT_ERROR
+        object_ref = _reply_field(created, "objectRef")
         try:
-            mirror = connect(created["directUrl"])
+            direct_url = _reply_field(created, "directUrl")
+            mirror = connect(direct_url)
             try:
                 build_factorization(spec, mirror)
             finally:
@@ -143,19 +157,21 @@ def cmd_factor(args) -> int:
             outcome = web_call(
                 endpoint,
                 "SatSolver.solve",
-                {"satMemoryUrl": created["directUrl"], "timeout": args.wait},
-                object_ref=found["solverId"],
+                {"satMemoryUrl": direct_url, "timeout": args.wait},
+                object_ref=_reply_field(found, "solverId"),
                 web_pid=web_pid,
             )
+            result = outcome.get("result")
+            if result == "SAT":
+                model = _reply_field(outcome, "model", 2 * args.l)  # the factor bits at least
         finally:
-            web_call(endpoint, "SatCnf.delete", object_ref=created["objectRef"], web_pid=web_pid)
-    except OSError as exc:  # a TransportError or a mirror that lost its hub
+            web_call(endpoint, "SatCnf.delete", object_ref=object_ref, web_pid=web_pid)
+    except (OSError, ValueError) as exc:  # a TransportError, a lost mirror, a bad directUrl
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    result = outcome.get("result")
     if result == "SAT":
-        u, v = decode_model(outcome.get("model") or [], spec)
+        u, v = decode_model(model, spec)
         if u * v != args.number or u < v:
             print(
                 f"error: solver returned inconsistent factors {u}, {v}", file=sys.stderr

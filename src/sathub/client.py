@@ -2,16 +2,15 @@
 
 ``connect`` opens the direct socket named by a memory's ``directUrl``,
 applies the initial snapshot, and then mirrors every synchronization
-message. Locally added clauses are applied to the replica once at send
-time; the hub never echoes them back. Clause sends are fire-and-forget,
-and a batch of clauses is applied in one replica-lock section and queued
-as one write, or, if one clause is refused, not at all. A variable
-reservation is one frame: the reader thread adds the block to the replica
-where it reads the index reply in the hub's ordered stream, then hands the
-reply to the waiting caller. Outbound frames are queued and sent,
-coalesced, by one writer thread. Inbound, the snapshot and then each
-read's worth of frames are decoded together and applied in stream order,
-each run of clauses in one batch.
+message on one reader thread. Each call's frames go out in one
+``sendall`` from the calling thread. A batch of clauses takes
+``CnfStore``'s outcomes in one replica-lock section, and the clauses the
+replica newly stored go out fire-and-forget; the hub never echoes them
+back. A variable reservation is one frame: the reader thread adds the
+block to the replica where it reads the index reply in the hub's ordered
+stream, then hands the reply to the waiting caller. Inbound, the snapshot
+and then each read's worth of frames are decoded together and applied in
+stream order, each run of clauses in one batch.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from itertools import chain, groupby
 from operator import itemgetter
 
 from . import wire
-from .cnf import ClauseRangeError, CnfStore, canonical_outcomes, out_of_range, raise_first_error
-from .service import FrameWriter
+from .cnf import ClauseRangeError, CnfStore, canonical_outcomes, raise_first_error
 
 
 # Seconds a mirror waits for a reply from the hub, and for ``close`` to finish.
@@ -104,6 +102,7 @@ class MemoryMirror:
         timeout = sock.gettimeout()
         self._deadline = None if timeout is None else time.monotonic() + timeout
         self._request_lock = threading.Lock()
+        self._send_lock = threading.Lock()
         self._responses: queue.Queue = queue.Queue()
         self._reserving: deque = deque()  # sizes of reservations awaiting their index
 
@@ -121,7 +120,6 @@ class MemoryMirror:
 
         self._reader = threading.Thread(target=self._read_loop, args=(rest,), daemon=True)
         self._reader.start()
-        self._writer = FrameWriter(sock, socket.SHUT_WR)
 
     # -- replica views -------------------------------------------------------
 
@@ -207,9 +205,14 @@ class MemoryMirror:
         self.store.reserve_variables(self._reserving.popleft())
 
     def _send(self, data: bytes) -> None:
-        """Queue frames to go out after every frame queued before them."""
-        if not (self.alive and self._writer.send(data)):
-            self.alive = False
+        """Write frames in one ``sendall``, after every frame sent before them."""
+        with self._send_lock:
+            if self.alive:
+                try:
+                    self._sock.sendall(data)
+                    return
+                except OSError:
+                    self.alive = False
             raise ConnectionError("mirror connection lost")
 
     def _request(self, data: bytes, expected: int, reserving: int = 0):
@@ -244,31 +247,17 @@ class MemoryMirror:
     # -- operations --------------------------------------------------------------
 
     def add_clause_direct(self, literals) -> bool:
-        """Validate locally, apply to the replica, and send (no acknowledgement)."""
-        return self.add_clauses([literals])[0]
+        """Add one clause as ``add_clauses`` does; a refused clause raises its error."""
+        return raise_first_error(self.add_clauses([literals]))[0]
 
-    def add_clauses(self, batch) -> list[bool]:
-        """Validate clauses locally, apply them to the replica in one lock
-        section, and send them as one write (no acknowledgement).
-
-        Returns, per clause, whether the replica stored it now; a clause it
-        already held is sent too, like any other. If a clause is refused,
-        raises its error (``ClauseRangeError`` out of range, ``ValueError``
-        if malformed) with nothing applied or sent.
-        """
-        clauses = canonical_outcomes(batch)
-        store = self.store
-        outcomes = list(clauses)
-        with store.lock:
-            bound = store.var_count
-            for clause in clauses:  # the first refused clause, in batch order
-                if type(clause) is not tuple:
-                    raise clause
-                if abs(clause[-1]) > bound:  # a canonical clause ends with its largest variable
-                    raise out_of_range(clause, bound)
-            store._add_canonical(outcomes)
-        if clauses:
-            self._send(b"".join(map(wire.encode_add_clause, clauses)))
+    def add_clauses(self, batch) -> list:
+        """Store clauses in the replica as ``CnfStore.add_clauses`` does, with
+        the same outcomes, and send the ones it newly stored as one write (no
+        acknowledgement); a clause it already held is at the hub or on its way."""
+        outcomes = canonical_outcomes(batch)
+        fresh = self.store._add_canonical(outcomes)
+        if fresh:
+            self._send(b"".join(map(wire.encode_add_clause, fresh)))
         return outcomes
 
     def add_variable(self) -> int:
@@ -286,17 +275,19 @@ class MemoryMirror:
         return self._request(wire.encode_snapshot_request(), wire.SNAPSHOT)
 
     def close(self) -> None:
-        """Send every queued frame, then wait until the hub has applied them all.
-
-        The mirror half-closes its socket after the last frame; the hub
-        closes its side only once it has applied every frame before that.
-        Waits at most ``REQUEST_TIMEOUT``, then closes regardless.
-        """
+        """Let a send in progress finish, half-close the socket, and wait for
+        the hub to close its side, which it does once it has applied every
+        frame before that. Waits at most ``REQUEST_TIMEOUT``, then closes
+        regardless, which ends a send still blocked with ``ConnectionError``."""
         self.alive = False
         deadline = time.monotonic() + REQUEST_TIMEOUT
-        self._writer.close()
-        self._writer.join(REQUEST_TIMEOUT)
-        self._reader.join(max(0.0, deadline - time.monotonic()))
+        if self._send_lock.acquire(timeout=REQUEST_TIMEOUT):
+            try:
+                self._sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+            self._send_lock.release()
+            self._reader.join(max(0.0, deadline - time.monotonic()))
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:

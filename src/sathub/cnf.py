@@ -50,12 +50,6 @@ def canonical_outcomes(batch: Iterable[Iterable[int]]) -> list:
     return outcomes
 
 
-def out_of_range(clause: tuple[int, ...], bound: int) -> ClauseRangeError:
-    """The error for a canonical clause with a variable above ``bound``."""
-    lit = next(lit for lit in clause if abs(lit) > bound)
-    return ClauseRangeError(f"literal {lit} out of range (var count {bound})")
-
-
 def raise_first_error(outcomes: list) -> list:
     """``outcomes`` of a batch intake, unless one is an error: then raise the first."""
     for outcome in outcomes:
@@ -73,8 +67,7 @@ class CnfStore:
     ``clauses_since(cursor)``, the clauses since a clause-count cursor and
     the next cursor; ``alive``, False once the memory is deleted or lost;
     ``reserve_variables(n) -> first``; and ``add_clauses(batch) ->
-    outcomes``, one per clause, where a mirror raises a refused clause's
-    error and sends nothing (``raise_first_error`` treats both alike).
+    outcomes``, one per clause, as this store's ``add_clauses`` gives them.
     """
 
     alive = True
@@ -136,7 +129,10 @@ class CnfStore:
                         break
                     continue
                 if abs(clause[-1]) > bound:  # a canonical clause ends with its largest variable
-                    outcomes[i] = out_of_range(clause, bound)
+                    lit = next(lit for lit in clause if abs(lit) > bound)
+                    outcomes[i] = ClauseRangeError(
+                        f"literal {lit} out of range (var count {bound})"
+                    )
                     if stop_at_refusal:
                         break
                 elif clause in seen:

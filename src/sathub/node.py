@@ -193,18 +193,21 @@ class ServerNode:
         self.workers = [
             SolverWorker(self.registry, endpoint=self.endpoint) for _ in range(workers)
         ]
-        self._thread: Optional[threading.Thread] = None
+        self._serving = False
+
+    def serve(self) -> None:
+        """Answer web calls on the calling thread until ``stop``."""
+        self._serving = True
+        self._httpd.serve_forever(POLL_INTERVAL)
 
     def start(self) -> "ServerNode":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(POLL_INTERVAL,), daemon=True
-        )
-        self._thread.start()
+        self._serving = True  # a ``stop`` before the thread runs still waits for it
+        threading.Thread(target=self.serve, daemon=True).start()
         return self
 
     def stop(self) -> None:
-        if self._thread is not None:
-            # shutdown() waits for serve_forever, which never ran without start()
+        if self._serving:
+            # shutdown() waits for serve_forever, which never ran without serve()
             self._httpd.shutdown()
         self._httpd.server_close()
         self.memory.shutdown()
@@ -278,9 +281,9 @@ class ServerNode:
                     getattr(worker, method.removeprefix("SatSolver."))(web_pid=web_pid)
                     return {}
             elif method == "Kernel.parallelize":
-                items = argument.get("calls") or []
+                items = [] if argument.get("calls") is None else argument["calls"]
                 if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
-                    raise MalformedArgument("calls must be a list of objects")
+                    raise MalformedArgument("calls: must be a list of objects")
                 if len(items) > MAX_PARALLEL_CALLS:
                     raise MalformedArgument(
                         f"calls: at most {MAX_PARALLEL_CALLS} calls, got {len(items)}"

@@ -8,7 +8,7 @@ import urllib.request
 
 
 class TransportError(ConnectionError):
-    """The envelope could not be delivered or the reply was not JSON."""
+    """The envelope could not be delivered or the reply was not a JSON object."""
 
 
 def web_call(
@@ -37,6 +37,9 @@ def web_call(
     )
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return json.loads(response.read())
+            result = json.loads(response.read())
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise TransportError(f"web call {method} to {endpoint} failed: {exc}") from exc
+    if not isinstance(result, dict):
+        raise TransportError(f"web call {method} to {endpoint} answered {result!r:.80}")
+    return result

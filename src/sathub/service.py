@@ -44,35 +44,27 @@ LOCK_TIMEOUT = 10.0
 
 
 class FrameWriter:
-    """Ordered outbound frames for one socket, sent by one writer thread.
+    """Ordered outbound frames for one hub peer, sent by one writer thread.
 
     Each time the thread wakes it sends every frame queued so far in one
     ``sendall``, in the order they were queued; it never waits for more.
-    ``close`` lets the queue drain and then shuts the socket down with
-    ``how``; a full shutdown (the hub's side) also closes the socket.
-    A hub peer's writer is also its identity (lock token, broadcast target).
+    ``close`` lets the queue drain and then shuts down and closes the
+    socket. A peer's writer is also its identity (lock token, broadcast target).
     """
 
-    def __init__(self, sock: socket.socket, how: int = socket.SHUT_RDWR) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.dead = False
-        self._how = how
         self._out: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._write_loop, daemon=True)
-        self._thread.start()
+        threading.Thread(target=self._write_loop, daemon=True).start()
 
-    def send(self, data: bytes) -> bool:
-        """Queue one frame; False once a send has failed."""
-        if self.dead:
-            return False
-        self._out.put(data)
-        return True
+    def send(self, data: bytes) -> None:
+        """Queue one frame; dropped once a send has failed."""
+        if not self.dead:
+            self._out.put(data)
 
     def close(self) -> None:
         self._out.put(None)
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self._thread.join(timeout)
 
     def _write_loop(self) -> None:
         out = self._out
@@ -95,11 +87,10 @@ class FrameWriter:
                     self.dead = True
                     break
         try:
-            self.sock.shutdown(self._how)
+            self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        if self._how == socket.SHUT_RDWR:
-            self.sock.close()
+        self.sock.close()
 
 
 class NoSuchMemory(LookupError):

@@ -1,6 +1,14 @@
 import gc
+import json
+import os
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +18,9 @@ from sathub.cnf import CnfStore
 from sathub.dimacs import loads
 from sathub.node import ServerNode
 from sathub.rpc import web_call
-from sathub.service import MemoryObject
+from sathub.service import MemoryObject, MemoryService
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -228,3 +238,111 @@ def test_two_serves_on_one_port_second_fails():
             ServerNode(workers=1, port=port)
     finally:
         first.stop()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc")
+def test_serve_answers_on_its_main_thread_and_exits_0_on_sigint():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # a child inherits an ignored SIGINT (a shell's background job has one),
+    # and Python then raises no KeyboardInterrupt in it
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "sathub.cli", "serve", "--port", "0", "--workers", "1"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, env=env,
+        )
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+    def threads():
+        with open(f"/proc/{proc.pid}/status", encoding="ascii") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+
+    try:
+        assert select.select([proc.stdout], [], [], 30)[0]
+        endpoint = proc.stdout.readline().decode().split()[2]
+        assert web_call(endpoint, "Kernel.listSolvers", timeout=10)["solvers"]
+        deadline = time.monotonic() + 5
+        while threads() != 1 and time.monotonic() < deadline:
+            time.sleep(0.02)  # the web call's handler thread is ending
+        assert threads() == 1
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
+@pytest.fixture
+def stub_node():
+    """Start an endpoint that answers each web call's method with a fixed
+    reply; returns the endpoint and the methods called, in order."""
+    servers = []
+
+    def start(replies):
+        called = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):  # noqa: N802 (http.server API)
+                method = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["method"]
+                called.append(method)
+                data = json.dumps(replies.get(method, {})).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, fmt, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return f"http://127.0.0.1:{server.server_address[1]}", called
+
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+# 15 = 5 x 3 at l=4: u = 0101, v = 0011, MSB first
+MODEL_15 = [False, True, False, True, False, False, True, True]
+
+
+@pytest.mark.parametrize(
+    "replies, deleted",
+    [
+        ({"SatCnf.create": []}, False),
+        ({"SatCnf.create": {}}, False),
+        ({"SatCnf.create": {"objectRef": "m", "directUrl": 5}}, True),
+        ({"SatCnf.create": {"objectRef": "m", "directUrl": "http://127.0.0.1:1"}}, True),
+        ({"Kernel.findAvailable": {"solverId": 5}}, True),
+        ({"SatSolver.solve": {"result": "SAT", "model": MODEL_15[:7]}}, True),
+        ({"SatSolver.solve": {"result": "SAT", "model": [0, 1, 0, 1, 0, 0, 1, 1]}}, True),
+    ],
+    ids=["create_list", "create_empty", "direct_url_number", "direct_url_not_tcp",
+         "solver_id_number", "short_model", "model_of_integers"],
+)
+def test_factor_with_a_malformed_reply_is_one_error_line(stub_node, capsys, replies, deleted):
+    service = MemoryService()
+    try:
+        memory = service.create_memory(0)
+        endpoint, called = stub_node({
+            "SatCnf.create": {"objectRef": "m", "directUrl": memory.direct_url},
+            "Kernel.findAvailable": {"solverId": "s"},
+            "SatSolver.solve": {"result": "SAT", "model": MODEL_15},
+            **replies,
+        })
+        assert main(["factor", "15", "--l", "4", "--endpoint", endpoint]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert (called[-1] == "SatCnf.delete") == deleted
+    finally:
+        service.shutdown()
+

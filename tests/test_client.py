@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from sathub import wire
+from sathub import client, wire
 from sathub.client import MemoryMirror, connect
 from sathub.cnf import ClauseRangeError
 from sathub.service import MemoryService
@@ -141,9 +141,13 @@ def test_duplicate_send_is_noop_everywhere(service):
     obj = service.create_memory(2)
     a = connect(obj.direct_url)
     b = connect(obj.direct_url)
+    sends = []
+    send = a._send
+    a._send = lambda data: sends.append(data) or send(data)
     try:
         assert a.add_clause_direct([1, 2]) is True
-        assert a.add_clause_direct([2, 1]) is False  # local no-op, still sent
+        assert a.add_clause_direct([2, 1]) is False  # held, so not sent again
+        assert sends == [wire.encode_add_clause([1, 2])]
         assert wait_until(lambda: b.clauses() == [[1, 2]])
         time.sleep(0.05)
         assert obj.view.clauses() == [[1, 2]]
@@ -229,8 +233,8 @@ def test_a_mirror_batch_goes_out_in_one_write_and_reaches_a_watcher_in_order(ser
         writer.add_clause_direct([2, 1])
         assert wait_until(lambda: watcher.version == 1)
         sends = []
-        send = writer._writer.send
-        writer._writer.send = lambda data: sends.append(data) or send(data)
+        send = writer._send
+        writer._send = lambda data: sends.append(data) or send(data)
         batch = [[-4, 3], [1, 2], [4, -1, 2], [3, -4], [2, 2, -3]]
         assert writer.add_clauses(batch) == [True, False, True, False, True]
         assert writer.add_clauses([]) == []
@@ -245,31 +249,28 @@ def test_a_mirror_batch_goes_out_in_one_write_and_reaches_a_watcher_in_order(ser
 
 
 @pytest.mark.parametrize(
-    "batch, error",
+    "batch, expected",
     [
-        ([[1, 2], [-5, 1], [3]], ClauseRangeError),
-        ([[1, 2], [0, 1], [3]], ValueError),
-        ([[1, 2], [], [3]], ValueError),
-        ([[1], [9], [True]], ClauseRangeError),  # the first refused clause's error
+        ([[1, 2], [-5, 1], [3]], [True, ClauseRangeError, True]),
+        ([[1, 2], [0, 1], [3]], [True, ValueError, True]),
+        ([[1, 2], [], [3]], [True, ValueError, True]),
+        ([[1], [9], [True]], [True, ClauseRangeError, ValueError]),
     ],
+    ids=["out_of_range", "zero_literal", "empty", "two_refused"],
 )
-def test_a_mirror_batch_with_a_bad_clause_raises_and_writes_nothing(service, batch, error):
+def test_a_mirror_batch_with_a_bad_clause_stores_and_sends_the_others(service, batch, expected):
     obj = service.create_memory(4)
     mirror = connect(obj.direct_url)
     try:
         mirror.add_clause_direct([4])
-        sends = []
-        send = mirror._writer.send
-        mirror._writer.send = lambda data: sends.append(data) or send(data)
-        with pytest.raises(error) as raised:
-            mirror.add_clauses(batch)
-        assert type(raised.value) is error
-        assert sends == []
-        assert mirror.clause_tuples() == [(4,)]
+        outcomes = mirror.add_clauses(batch)
+        assert [o if type(o) is bool else type(o) for o in outcomes] == expected
+        stored = [(4,)] + [tuple(c) for c, o in zip(batch, outcomes) if o is True]
+        assert mirror.clause_tuples() == stored
         # the hub answers in frame order: once the snapshot is back, it holds all it got
         _, clauses = mirror.request_snapshot()
-        assert clauses == [[4]]
-        assert obj.view.clause_tuples() == [(4,)]
+        assert clauses == list(map(list, stored))
+        assert obj.view.clause_tuples() == stored
     finally:
         mirror.close()
 
@@ -279,6 +280,49 @@ def fake_hub_mirror(var_count, clauses=()):
     hub, end = socket.socketpair()
     hub.sendall(wire.encode_snapshot(var_count, clauses))
     return hub, MemoryMirror(end, "tcp://fake:1")
+
+
+def test_a_mirror_starts_one_thread():
+    before = set(threading.enumerate())
+    hub, mirror = fake_hub_mirror(1)
+    try:
+        assert len(set(threading.enumerate()) - before) == 1  # its reader
+    finally:
+        hub.close()
+        mirror.close()
+
+
+def test_close_ends_a_send_that_a_stalled_hub_blocks(monkeypatch):
+    monkeypatch.setattr(client, "REQUEST_TIMEOUT", 0.5)
+    hub, mirror = fake_hub_mirror(2000)  # the hub never reads
+    # 1000 distinct clauses of 1000 literals: about 4 MB of frames
+    batch = [list(range(1, 1000)) + [1000 + i] for i in range(1, 1001)]
+    errors = []
+
+    def write():
+        try:
+            mirror.add_clauses(batch)
+        except ConnectionError as exc:
+            errors.append(exc)
+
+    writer = threading.Thread(target=write, daemon=True)
+    closer = threading.Thread(target=mirror.close, daemon=True)
+    try:
+        writer.start()
+        assert wait_until(lambda: mirror.version == 1000)
+        time.sleep(0.2)
+        assert writer.is_alive()  # blocked in its send
+        started = time.monotonic()
+        closer.start()
+        closer.join(timeout=5)
+        assert not closer.is_alive()
+        assert time.monotonic() - started < client.REQUEST_TIMEOUT + 1.0
+        writer.join(timeout=5)
+        assert not writer.is_alive()
+        assert len(errors) == 1
+    finally:
+        hub.close()
+        mirror.close()
 
 
 def test_a_mirror_applies_a_read_of_clause_runs_around_added_variables():

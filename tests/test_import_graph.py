@@ -68,6 +68,7 @@ def test_no_import_inside_a_function():
 def test_the_module_import_graph_has_no_cycle():
     graph = {path.stem: relative_imports(path) - {path.stem} for path in SOURCES}
     assert graph["solving"] >= {"dpll", "client"}
+    assert graph["client"] <= {"wire", "cnf"}
     assert cycle(graph) is None
 
 

@@ -4,8 +4,8 @@ memory and a mirror each take a factoring build and a solve through it alone."""
 import pytest
 
 from sathub import dpll
-from sathub.client import connect
-from sathub.cnf import CnfStore, canonical_clause
+from sathub.client import MemoryMirror, connect
+from sathub.cnf import ClauseRangeError, CnfStore, canonical_clause
 from sathub.factoring import FactorizationSpec, build_factorization, decode_model
 from sathub.service import MemoryService
 
@@ -80,6 +80,22 @@ def test_a_factoring_build_and_solve_go_through_the_protocol(make_memory):
     outcome = dpll.run(memory)
     assert outcome.result == "SAT"
     assert decode_model(outcome.model, SPEC) == (97, 89)
+
+
+def test_a_batch_with_refused_clauses_has_one_rule(make_memory):
+    memory, _ = make_memory()
+    memory.reserve_variables(3)
+    # good, duplicate, out of range, malformed, good
+    outcomes = memory.add_clauses([[2, 1], [1, 2], [1, 4], [0, 3], [-3]])
+    assert outcomes[:2] == [True, False] and outcomes[4] is True
+    assert type(outcomes[2]) is ClauseRangeError
+    assert str(outcomes[2]) == "literal 4 out of range (var count 3)"
+    assert type(outcomes[3]) is ValueError
+    assert str(outcomes[3]) == "invalid literal: 0"
+    assert memory.clauses_since(0) == ([(1, 2), (-3,)], 2)
+    if isinstance(memory, MemoryMirror):
+        # the hub answers in frame order: once the snapshot is back, it holds all it got
+        assert memory.request_snapshot() == (3, [[1, 2], [-3]])
 
 
 def test_an_exporting_solve_writes_one_batch_per_boundary_with_exports(

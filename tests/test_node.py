@@ -455,6 +455,10 @@ TOO_MANY_CALLS = (
         ("Kernel.parallelize", {"calls": [{"solverId": ["x"], "satMemoryUrl": "tcp://127.0.0.1:1"}]}),
         ("Kernel.parallelize", {"calls": [{"solverId": 5, "satMemoryUrl": "tcp://127.0.0.1:1"}]}),
         TOO_MANY_CALLS,
+        ("Kernel.parallelize", {"calls": 0}),
+        ("Kernel.parallelize", {"calls": False}),
+        ("Kernel.parallelize", {"calls": ""}),
+        ("Kernel.parallelize", {"calls": {}}),
     ],
 )
 def test_bad_argument_answers_malformed_envelope(node, method, argument):
@@ -468,7 +472,8 @@ def test_bad_argument_answers_malformed_envelope(node, method, argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: satMemoryUrl: "), reply
     if "'timeout'" in str(argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: timeout: "), reply
-    if (method, argument) == TOO_MANY_CALLS:
+    calls = argument.get("calls")
+    if (method, argument) == TOO_MANY_CALLS or calls is not None and not isinstance(calls, list):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: calls: "), reply
     elif "'solverId'" in str(argument):
         assert reply["error"].startswith("MALFORMED_ENVELOPE: solverId: "), reply

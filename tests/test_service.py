@@ -834,8 +834,8 @@ def test_reservations_send_one_frame_each(service):
     obj = service.create_memory(0)
     mirror = connect(obj.direct_url)
     sent = []
-    send = mirror._writer.send
-    mirror._writer.send = lambda data: sent.append(data) or send(data)
+    send = mirror._send
+    mirror._send = lambda data: sent.append(data) or send(data)
     try:
         assert mirror.reserve_variables(8) == 1
         assert sent == [wire.encode_add_vars(8)]
