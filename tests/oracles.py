@@ -211,3 +211,96 @@ def rup_refutes(clauses, lemmas) -> bool:
             return False
         derived.append(list(lemma))
     return True
+
+
+class ModelFamily:
+    """The variable count that an origin or detached fork shares with the
+    attached forks below it."""
+
+    def __init__(self, var_count: int) -> None:
+        self.var_count = var_count
+
+
+class ModelMemory:
+    """One memory of ``SharedMemoryModel``: a canonical clause list in arrival
+    order, its family, its parent (set only while attached), the attached
+    forks it feeds, and ``alive``."""
+
+    def __init__(self, family: ModelFamily, clauses=(), parent=None) -> None:
+        self.family = family
+        self.clauses = list(clauses)
+        self.parent = parent
+        self.children: list[ModelMemory] = []
+        self.alive = True
+
+    @property
+    def var_count(self) -> int:
+        return self.family.var_count
+
+
+class SharedMemoryModel:
+    """The shared memory's semantics as one sequential, single-threaded model.
+
+    Clauses are kept in canonical form (no repeated literal, ascending
+    variable, negative first) and stored once per memory, in arrival order. A
+    clause is refused as ``"invalid"`` (an empty clause or a non-positive
+    literal) or ``"range"`` (a variable past the count); a refusal does not
+    stop the clauses after it. A memory feeds each newly stored clause to
+    its attached forks, which store it unless they hold it already, and they
+    feed theirs. An origin or detached fork and the attached forks below it
+    share one variable count. A deleted memory leaves its family and hands
+    its attached forks to its parent.
+    """
+
+    def create(self, var_count: int) -> ModelMemory:
+        return ModelMemory(ModelFamily(var_count))
+
+    @staticmethod
+    def canonical(literals):
+        if not literals or any(type(lit) is not int or lit == 0 for lit in literals):
+            return "invalid"
+        return tuple(sorted(set(literals), key=lambda lit: (abs(lit), lit > 0)))
+
+    def add_clauses(self, memory: ModelMemory, batch) -> list:
+        """One outcome per clause: True (stored), False (held), "invalid" or "range"."""
+        outcomes = []
+        for literals in batch:
+            clause = self.canonical(literals)
+            if clause == "invalid":
+                outcomes.append(clause)
+            elif abs(clause[-1]) > memory.var_count:
+                outcomes.append("range")
+            elif clause in memory.clauses:
+                outcomes.append(False)
+            else:
+                outcomes.append(True)
+                self._store(memory, clause)
+        return outcomes
+
+    def _store(self, memory: ModelMemory, clause) -> None:
+        memory.clauses.append(clause)
+        for child in memory.children:
+            if clause not in child.clauses:
+                self._store(child, clause)
+
+    def reserve(self, memory: ModelMemory, n: int) -> int:
+        first = memory.var_count + 1
+        memory.family.var_count += n
+        return first
+
+    def fork(self, memory: ModelMemory, detach: bool) -> ModelMemory:
+        if detach:
+            return ModelMemory(ModelFamily(memory.var_count), memory.clauses)
+        child = ModelMemory(memory.family, memory.clauses, parent=memory)
+        memory.children.append(child)
+        return child
+
+    def delete(self, memory: ModelMemory) -> None:
+        memory.alive = False
+        memory.family = ModelFamily(memory.var_count)  # it shares nothing any more
+        for child in memory.children:
+            child.parent = memory.parent
+        if memory.parent is not None:
+            memory.parent.children.remove(memory)
+            memory.parent.children.extend(memory.children)
+        memory.children = []
