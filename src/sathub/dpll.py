@@ -129,7 +129,6 @@ class DpllSolver:
         self.memory = memory
         self.export = export
         self.clauses_read = 0  # the memory's clause-count cursor
-        self.taken: list[tuple[int, ...]] = []  # every clause loaded, in memory order
         self.exports: list[tuple[int, ...]] = []  # canonical, learned since the last read
         self.var_count = 0
         self.vals: list[Optional[bool]] = [None, None]  # by literal code
@@ -169,7 +168,6 @@ class DpllSolver:
         """Attach canonical clauses read from the memory, over variables already
         ensured, at level 0 or mid-search; a tautology is watched, and never
         propagates."""
-        self.taken += clauses
         attach = self._attach
         for clause in clauses:
             attach([lit << 1 if lit > 0 else (-lit << 1) | 1 for lit in clause])
@@ -429,9 +427,11 @@ class DpllSolver:
             self._backjump(0)  # level-0 assignments persist: they are forced
 
 
-def _satisfies(model: list[bool], clauses: list[tuple[int, ...]]) -> bool:
+def _satisfies(model: list[bool], memory, count: int) -> bool:
+    """Whether ``model`` satisfies the first ``count`` clauses of ``memory``. A
+    memory only grows, and the exports its solver skipped are implied."""
     true = {var if value else -var for var, value in enumerate(model, 1)}
-    return not any(map(true.isdisjoint, clauses))
+    return not any(map(true.isdisjoint, memory.clauses_since(0)[0][:count]))
 
 
 def run(
@@ -449,7 +449,7 @@ def run(
     ``MEMORY_UNAVAILABLE`` once the view is lost, or with
     ``TOO_MANY_VARIABLES`` before it allocates for more than
     ``MAX_SOLVE_VARIABLES`` (at the start or at any read). A SAT model is
-    checked against every clause the solver loaded before it is returned.
+    checked against the memory up to the solver's last read before it is returned.
     """
     if view.var_count > MAX_SOLVE_VARIABLES:
         return SolveOutcome(UNKNOWN, error="TOO_MANY_VARIABLES")
@@ -462,6 +462,6 @@ def run(
         return SolveOutcome(UNKNOWN, error="MEMORY_UNAVAILABLE")
     except Exception as exc:  # surface as UNKNOWN per solver contract
         return SolveOutcome(UNKNOWN, error=str(exc))
-    if outcome.result == SAT and not _satisfies(outcome.model, solver.taken):
+    if outcome.result == SAT and not _satisfies(outcome.model, view, solver.clauses_read):
         return SolveOutcome(UNKNOWN, error="MODEL_CHECK_FAILED")
     return outcome

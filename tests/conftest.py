@@ -1,8 +1,21 @@
 import threading
+import time
 
 import pytest
 
 from sathub import dpll
+
+
+@pytest.fixture(autouse=True)
+def no_hub_thread_outlives_the_test():
+    """Fail a test that leaves a ``sathub-hub`` thread alive 2 s after it ends:
+    the hub's loop exits once its service holds no memory."""
+    yield
+    deadline = time.monotonic() + 2.0
+    while any(thread.name == "sathub-hub" for thread in threading.enumerate()):
+        if time.monotonic() > deadline:
+            pytest.fail("a sathub-hub thread is still alive 2 s after the test")
+        time.sleep(0.01)
 
 
 @pytest.fixture

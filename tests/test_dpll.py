@@ -288,6 +288,21 @@ def test_model_check_rejects_a_wrong_model(monkeypatch):
     assert outcome.model is None
 
 
+def test_a_clause_added_after_the_last_read_does_not_fail_the_model_check(monkeypatch):
+    store = make_store([[1], [-2], [2, 3]], 3)
+    solve = DpllSolver.solve
+
+    def contradict_after_the_last_read(self, *args, **kwargs):
+        outcome = solve(self, *args, **kwargs)
+        store.add_clauses([[-3]])  # the model sets x3; the solver never read this clause
+        return outcome
+
+    monkeypatch.setattr(DpllSolver, "solve", contradict_after_the_last_read)
+    outcome = run(store)
+    assert (outcome.result, outcome.model) == ("SAT", [True, False, True])
+    assert not store.evaluate(outcome.model)
+
+
 def test_fold_in_reads_only_appended_clauses():
     class CountingStore(CnfStore):
         """Counts the clauses each read returns; a full rescan fails the test."""
@@ -315,7 +330,8 @@ def test_fold_in_reads_only_appended_clauses():
     outcome = run(store, on_decision=hook)
     assert outcome.result == "SAT"
     assert store.reads[0] == 2000
-    assert sum(store.reads[1:]) == 1
+    assert sum(store.reads[1:-1]) == 1
+    assert store.reads[-1] == 2001  # the model check reads the memory once, after the solve
 
 
 def test_fold_in_over_a_mirror_reads_only_appended_clauses():
@@ -345,7 +361,8 @@ def test_fold_in_over_a_mirror_reads_only_appended_clauses():
             mirror.close()
         assert outcome.result == "SAT"
         assert reads[0] == 2000
-        assert sum(reads[1:]) == 1
+        assert sum(reads[1:-1]) == 1
+        assert reads[-1] == 2001  # the model check reads the memory once, after the solve
     finally:
         service.shutdown()
 
@@ -418,4 +435,4 @@ def test_a_second_solve_loads_only_the_clauses_added_since(monkeypatch):
     store.add_clauses([[-3], [1, 3]])
     assert solver.solve().result == "UNSAT"
     assert sum(loads) == 5
-    assert solver.taken == store.clause_tuples()
+    assert solver.clauses_read == store.version

@@ -1,6 +1,7 @@
 """Fault injection at the hub with a fixed number of peers: a peer that dies
 mid-frame, a lock holder that vanishes, and peers that never read."""
 
+import logging
 import socket
 import threading
 import time
@@ -116,3 +117,31 @@ def test_a_peer_that_never_reads_does_not_stall_a_reading_peer(service):
         reader.close()
         idle_stream.close(); idle.close()
 
+
+def test_a_peer_past_the_outbound_limit_is_dropped(service, monkeypatch, caplog):
+    monkeypatch.setattr(sathub.service, "OUTBOUND_LIMIT", 64 * 1024)
+    # about 6 MB of frames: more than the kernel buffers of a peer that never reads
+    batch = big_batch(count=1500)
+    obj = service.create_memory(2500)
+    idle, idle_stream = raw_peer(obj, rcvbuf=4096)
+    writer, reader = connect(obj.direct_url), connect(obj.direct_url)
+    try:
+        with caplog.at_level(logging.WARNING, logger="sathub.service"):
+            writer.add_clauses(batch)
+            writer.close()
+            assert wait_until(lambda: reader.version == len(batch))
+            assert wait_until(lambda: caplog.records)
+        assert reader.clause_tuples() == obj.view.clause_tuples()
+        assert obj.view.version == len(batch)
+        [record] = caplog.records
+        assert (record.name, record.levelname) == ("sathub.service", "WARNING")
+        assert obj.direct_url in record.getMessage() and "outbound" in record.getMessage()
+        # the dropped peer reads what the kernel holds, then the end of the stream
+        with pytest.raises((wire.ConnectionClosed, wire.MalformedFrame, ConnectionResetError)):
+            while True:
+                opcode, payload = wire.read_message(idle_stream)
+                assert opcode == wire.ADD_CLAUSE  # no ERROR frame behind the backlog
+        assert reader.alive
+    finally:
+        reader.close()
+        idle_stream.close(); idle.close()

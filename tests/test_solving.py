@@ -483,7 +483,7 @@ def test_single_instance_rule_under_contention():
             time.sleep(0.01)
             with lock:
                 active.pop()
-            return [(1,)], (1,)
+            return [(1,)][cursor:], 1
 
     def attempt():
         try:
@@ -499,4 +499,4 @@ def test_single_instance_rule_under_contention():
     assert not overlaps
     # every solve that ran read the store, so the overlap probe was live
     assert answers and set(answers) == {"SAT"}
-    assert reads.count(0) == len(answers)
+    assert reads.count(0) == 2 * len(answers)  # the solve's first read and its model check
