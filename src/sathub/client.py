@@ -20,7 +20,6 @@ import queue
 import socket
 import threading
 import time
-from collections import deque
 from itertools import chain, groupby
 from operator import itemgetter
 
@@ -104,9 +103,9 @@ class MemoryMirror:
         self._request_lock = threading.Lock()
         self._send_lock = threading.Lock()
         self._responses: queue.Queue = queue.Queue()
-        self._reserving: deque = deque()  # sizes of reservations awaiting their index
+        self._reserving = 0  # variables the request in flight reserves, if any
 
-        self._batches = wire.read_batches(self._recv)
+        self._batches = wire.read_batches(self._recv, frames=wire.SERVER_FRAMES)
         try:
             var_count, clauses, rest = _read_snapshot(self._batches)
         except BaseException:
@@ -161,7 +160,7 @@ class MemoryMirror:
                 self._apply(messages)
                 messages = next(self._batches)
         except wire.ConnectionClosed as exc:
-            self.lost = f"ConnectionClosed: {exc}"
+            self.lost = self.lost or f"ConnectionClosed: {exc}"  # a timeout's reason stays
         except (wire.MalformedFrame, OSError, ValueError) as exc:
             # MirrorProtocolError is an OSError, ClauseRangeError a ValueError
             self.lost = f"{type(exc).__name__}: {exc}"
@@ -202,7 +201,8 @@ class MemoryMirror:
             raise MirrorProtocolError(
                 f"index {first} does not follow replica var count {self.store.var_count}"
             )
-        self.store.reserve_variables(self._reserving.popleft())
+        self.store.reserve_variables(self._reserving)
+        self._reserving = 0
 
     def _send(self, data: bytes) -> None:
         """Write frames in one ``sendall``, after every frame sent before them."""
@@ -216,18 +216,30 @@ class MemoryMirror:
             raise ConnectionError("mirror connection lost")
 
     def _request(self, data: bytes, expected: int, reserving: int = 0):
-        """Send ``data`` and await its reply, which adds ``reserving`` variables if nonzero."""
+        """Send ``data`` and await its reply, which adds ``reserving`` variables if nonzero.
+        One request is in flight at a time."""
         with self._request_lock:
-            if reserving:
-                self._reserving.append(reserving)
+            self._reserving = reserving
             self._send(data)
             return self._response(expected)
 
     def _response(self, expected: int):
-        """Await the next response; raise the error it carries unless it is ``expected``."""
+        """Await the next response; raise the error it carries unless it is ``expected``.
+
+        A response that does not come within ``REQUEST_TIMEOUT`` ends the
+        mirror, since it would answer the next request: ``TimeoutError`` now,
+        ``ConnectionError`` for every later call.
+        """
         try:
             item = self._responses.get(timeout=REQUEST_TIMEOUT)
         except queue.Empty:
+            self.lost = "TimeoutError: no response from memory service"
+            log.warning("mirror of %s lost: %s", self.direct_url, self.lost)
+            self.alive = False
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)  # ends the reader
+            except OSError:
+                pass
             raise TimeoutError("no response from memory service") from None
         if item is None:
             self._responses.put(None)  # every later wait fails at once too

@@ -61,41 +61,38 @@ class SolveOutcome:
 
 
 class SolveControl:
-    """Pause/resume/cancel signals observed by a running search; each one
-    notifies ``cv`` (a solver worker's, or a fresh condition)."""
+    """One solve's pause and cancel signals, and the web process that started
+    it; the search observes the signals at decision boundaries (``halted``).
+    A resume or cancel notifies ``cv`` (a solver worker's, or a fresh
+    condition). A cancel leaves ``paused`` as it was, so a paused solve reads
+    PAUSED until it exits."""
 
     def __init__(self, cv: Optional[threading.Condition] = None) -> None:
         self._cv = cv or threading.Condition()
-        self._paused = False
-        self._cancelled = False
+        self.web_pid = ""  # set by the worker that takes it
+        self.paused = False
+        self.cancelled = False
 
     def pause(self) -> None:
         with self._cv:
-            self._paused = True
+            self.paused = True
 
     def resume(self) -> None:
         with self._cv:
-            self._paused = False
+            self.paused = False
             self._cv.notify_all()
 
     def cancel(self) -> None:
         with self._cv:
-            self._cancelled = True
-            self._paused = False
+            self.cancelled = True
             self._cv.notify_all()
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def paused(self) -> bool:
-        return self._paused
-
-    def wait_while_paused(self) -> None:
-        with self._cv:
-            while self._paused and not self._cancelled:
-                self._cv.wait()
+    def halted(self) -> bool:
+        """Wait while paused and not cancelled; True once cancelled."""
+        if self.paused:
+            with self._cv:
+                self._cv.wait_for(lambda: self.cancelled or not self.paused)
+        return self.cancelled
 
 
 def _code(lit: int) -> int:
@@ -104,15 +101,6 @@ def _code(lit: int) -> int:
 
 def _lit(code: int) -> int:
     return -(code >> 1) if code & 1 else code >> 1
-
-
-def _halted(control: Optional[SolveControl]) -> bool:
-    """Observe pause and cancel at a decision boundary; True once cancelled."""
-    if control is None:
-        return False
-    if control.paused:
-        control.wait_while_paused()
-    return control.cancelled
 
 
 class DpllSolver:
@@ -419,7 +407,7 @@ class DpllSolver:
                 decisions += 1
                 if on_decision is not None:
                     on_decision(decisions)
-                if _halted(control):
+                if control is not None and control.halted():
                     return SolveOutcome(UNKNOWN)
                 trail_lim.append(len(self.trail))
                 self._assign((var << 1) | self.phase[var], None)

@@ -307,10 +307,10 @@ class ServerNode:
                 )
                 return {"results": [r.as_json() for r in results]}
             elif method == "Kernel.listSolvers":
-                return {"solvers": [r.as_json() for r in self.registry.list_solvers()]}
+                return {"solvers": [w.as_json() for w in self.registry.workers()]}
             elif method == "Kernel.findAvailable":
                 worker = self.registry.find_available(_timeout(argument))
-                return {"solverId": worker.record.solver_id}
+                return {"solverId": worker.solver_id}
             return {"error": "NO_SUCH_METHOD"}
         except NoSuchMemory:
             return {"error": "NO_SUCH_OBJECT"}

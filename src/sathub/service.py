@@ -55,7 +55,7 @@ class Peer:
 
     def __init__(self, sock: socket.socket, memory: "MemoryObject") -> None:
         self.sock, self.memory = sock, memory
-        self.decoder = wire.FrameDecoder()
+        self.decoder = wire.FrameDecoder(wire.CLIENT_FRAMES)
         self.inbox, self.out = bytearray(), bytearray()  # read but not decoded; not yet sent
         self.held = self.ending = False
         self.events = 0  # what the selector watches it for
@@ -192,9 +192,7 @@ class MemoryObject:
         elif opcode == wire.SNAPSHOT_REQUEST:
             conn.send(wire.encode_snapshot(self.view.var_count, self.view.iter_clauses()))
         else:  # opcode None ends the stream; its payload is the error that ended it
-            if opcode is not None:
-                conn.send(wire.encode_error(wire.ERR_MALFORMED, f"unexpected opcode {opcode}"))
-            elif isinstance(payload, wire.MalformedFrame):
+            if isinstance(payload, wire.MalformedFrame):
                 conn.send(wire.encode_error(wire.ERR_MALFORMED, str(payload)))
             return False
         return True

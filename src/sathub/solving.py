@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 import uuid
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -33,23 +32,6 @@ class NoSolverAvailable(Exception):
     """No registered solver became IDLE within the timeout."""
 
 
-@dataclass
-class SolverRecord:
-    solver_id: str
-    solver_type: str
-    endpoint: str = ""
-    state: str = IDLE
-    current_web_pid: Optional[str] = None
-
-    def as_json(self) -> dict:
-        return {
-            "solverId": self.solver_id,
-            "solverType": self.solver_type,
-            "endpoint": self.endpoint,
-            "state": self.state,
-        }
-
-
 class SolverRegistry:
     """Root-memory analog: the set of registered solver workers, by registration
     order. Its condition is every registered worker's too."""
@@ -58,11 +40,10 @@ class SolverRegistry:
         self._cv = threading.Condition()
         self._workers: dict[str, "SolverWorker"] = {}
 
-    def register(self, worker: "SolverWorker") -> SolverRecord:
+    def register(self, worker: "SolverWorker") -> None:
         with self._cv:
-            self._workers[worker.record.solver_id] = worker
+            self._workers[worker.solver_id] = worker
             self._cv.notify_all()
-        return worker.record
 
     def get(self, solver_id: str) -> Optional["SolverWorker"]:
         with self._cv:
@@ -72,26 +53,25 @@ class SolverRegistry:
         with self._cv:
             return list(self._workers.values())
 
-    def list_solvers(self) -> list[SolverRecord]:
-        with self._cv:
-            return [w.record for w in self._workers.values()]
-
     def find_available(self, timeout: float = 0.0) -> "SolverWorker":
         """First IDLE worker in registration order, waiting up to ``timeout`` seconds."""
         with self._cv:
-            end = time.monotonic() + max(0.0, timeout)
-            while True:
-                for worker in self._workers.values():
-                    if worker.record.state == IDLE:
-                        return worker
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    raise NoSolverAvailable("no IDLE solver within timeout")
-                self._cv.wait(remaining)
+            worker = self._cv.wait_for(
+                lambda: next((w for w in self._workers.values() if w.control is None), None),
+                timeout,
+            )
+        if worker is None:
+            raise NoSolverAvailable("no IDLE solver within timeout")
+        return worker
 
 
 class SolverWorker:
-    """Hosts one reference solver and enforces the one-instance-at-a-time rule."""
+    """Hosts one reference solver and enforces the one-instance-at-a-time rule.
+
+    ``control`` is its only solve state: the running solve's
+    ``dpll.SolveControl``, or None. The worker is IDLE without one, PAUSED
+    while it is paused, and BUSY otherwise.
+    """
 
     def __init__(
         self,
@@ -99,18 +79,28 @@ class SolverWorker:
         endpoint: str = "",
         export: bool = False,
     ) -> None:
-        self.record = SolverRecord(
-            solver_id=uuid.uuid4().hex, solver_type="ReferenceDpll", endpoint=endpoint
-        )
+        self.solver_id = uuid.uuid4().hex
+        self.endpoint = endpoint
         self.export = export
+        self.control: Optional[dpll.SolveControl] = None
         self._cv = registry._cv if registry is not None else threading.Condition()
-        self._control = None
         if registry is not None:
             registry.register(self)
 
-    def _set_state(self, state: str) -> None:
-        self.record.state = state
-        self._cv.notify_all()
+    @property
+    def state(self) -> str:
+        control = self.control
+        if control is None:
+            return IDLE
+        return PAUSED if control.paused else BUSY
+
+    def as_json(self) -> dict:
+        return {
+            "solverId": self.solver_id,
+            "solverType": "ReferenceDpll",
+            "endpoint": self.endpoint,
+            "state": self.state,
+        }
 
     def solve(
         self,
@@ -131,17 +121,12 @@ class SolverWorker:
         """
         control = control or dpll.SolveControl(self._cv)
         with self._cv:
-            end = time.monotonic() + max(0.0, timeout)
-            while self.record.state != IDLE and not control.cancelled:
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    raise SolverBusy("solver busy")
-                self._cv.wait(remaining)
+            if not self._cv.wait_for(lambda: self.control is None or control.cancelled, timeout):
+                raise SolverBusy("solver busy")
             if control.cancelled:
                 return SolveOutcome(dpll.UNKNOWN)
-            self._control = control
-            self.record.current_web_pid = web_pid
-            self._set_state(BUSY)
+            control.web_pid = web_pid
+            self.control = control
 
         mirror = None
         try:
@@ -164,39 +149,33 @@ class SolverWorker:
             if mirror is not None:
                 mirror.close()
             with self._cv:
-                self._control = None
-                self.record.current_web_pid = None
-                self._set_state(IDLE)
+                self.control = None
+                self._cv.notify_all()
 
-    def _check_pid(self, web_pid: str) -> None:
-        if self.record.current_web_pid != web_pid:
+    def _owned(self, action: str, web_pid: str, *states: str) -> dpll.SolveControl:
+        """The running solve's control, if the worker is in one of ``states``
+        and ``web_pid`` started the solve."""
+        state = self.state
+        if state not in states:
+            raise SolverStateError(f"cannot {action} in state {state}")
+        if self.control.web_pid != web_pid:
             raise WebPidMismatch("control call from a different web process")
+        return self.control
 
     def pause(self, web_pid: str = "") -> None:
         with self._cv:
-            if self.record.state != BUSY:
-                raise SolverStateError(f"cannot pause in state {self.record.state}")
-            self._check_pid(web_pid)
-            self._control.pause()
-            self._set_state(PAUSED)
+            self._owned("pause", web_pid, BUSY).pause()
 
     def resume(self, web_pid: str = "") -> None:
         with self._cv:
-            if self.record.state != PAUSED:
-                raise SolverStateError(f"cannot resume in state {self.record.state}")
-            self._check_pid(web_pid)
-            self._control.resume()
-            self._set_state(BUSY)
+            self._owned("resume", web_pid, PAUSED).resume()
 
     def cancel(self, web_pid: str = "") -> None:
         """Abort the in-flight solve; returns once the solve call has exited."""
         with self._cv:
-            if self.record.state not in (BUSY, PAUSED):
-                raise SolverStateError(f"cannot cancel in state {self.record.state}")
-            self._check_pid(web_pid)
-            self._control.cancel()
-            while self.record.state != IDLE:
-                self._cv.wait()
+            control = self._owned("cancel", web_pid, BUSY, PAUSED)
+            control.cancel()
+            self._cv.wait_for(lambda: self.control is not control)
 
 
 @dataclass

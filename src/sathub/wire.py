@@ -16,7 +16,8 @@ Server-originated messages (responses and hub synchronization):
     0x7F ERROR          u16 code, u16 message length, UTF-8 message
 
 ADD_CLAUSE and ADD_VARS also flow server-to-client as synchronization
-messages rebroadcast by the hub.
+messages rebroadcast by the hub. Each side's decoder refuses a frame that
+only the other side sends (``CLIENT_FRAMES``, ``SERVER_FRAMES``).
 """
 
 from __future__ import annotations
@@ -45,12 +46,18 @@ _MAX_COUNT = 1 << 24  # sanity cap on wire-declared element counts
 # Bytes a batched reader asks its socket for at a time.
 READ_SIZE = 1 << 16
 
-# Each opcode's fixed header, opcode byte included.
-_HEADER = {
-    **dict.fromkeys((ADD_VARIABLE, LOCK_VARS, UNLOCK_VARS, SNAPSHOT_REQUEST, LOCK_GRANTED), 1),
+# Each opcode's fixed header, opcode byte included, by direction: the hub
+# decodes only what a client sends, and a mirror only what the hub sends.
+CLIENT_FRAMES = {
+    **dict.fromkeys((ADD_VARIABLE, LOCK_VARS, UNLOCK_VARS, SNAPSHOT_REQUEST), 1),
+    **dict.fromkeys((ADD_CLAUSE, ADD_VARS), 5),
+}
+SERVER_FRAMES = {
+    LOCK_GRANTED: 1,
     **dict.fromkeys((ADD_CLAUSE, ADD_VARS, VAR_INDEX, FIRST_INDEX, ERROR), 5),
     SNAPSHOT: 9,
 }
+_HEADER = {**CLIENT_FRAMES, **SERVER_FRAMES}
 
 # The largest variable an i32 literal can name; a memory never counts more.
 MAX_VARIABLE = 2**31 - 1
@@ -141,7 +148,9 @@ _SNAPSHOT_CLAUSE = _ByCount("<I{}i", "pack")
 
 
 class FrameDecoder:
-    """Decodes the frames of one byte stream, a buffer at a time.
+    """Decodes the frames of one byte stream, a buffer at a time, refusing at
+    its first byte a frame whose opcode ``frames`` (default: either
+    direction's) does not list.
 
     ``decode(buf)`` returns the messages that ``buf`` completes, in order,
     the number of leading bytes it used, and the ``MalformedFrame`` that
@@ -154,7 +163,8 @@ class FrameDecoder:
     next part of a ``SNAPSHOT``, certainly still takes.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, frames: dict[int, int] = _HEADER) -> None:
+        self.frames = frames
         self.need = 1
         self._snapshot: Optional[tuple[int, list[list[int]]]] = None
         self._snapshot_left = 0
@@ -170,14 +180,16 @@ class FrameDecoder:
         pos = 0
         end = len(buf)
         need = 1
+        frames = self.frames
         try:
             if self._snapshot is not None:
                 pos, need = self._snapshot_clauses(buf, pos, out)
             while pos < end and self._snapshot is None:
                 opcode = buf[pos]
-                head = _HEADER.get(opcode)
+                head = frames.get(opcode)
                 if head is None:
-                    raise MalformedFrame(f"unknown opcode 0x{opcode:02x}")
+                    known = "unexpected" if opcode in _HEADER else "unknown"
+                    raise MalformedFrame(f"{known} opcode 0x{opcode:02x}")
                 if end - pos < head:
                     need = head - (end - pos)
                     break
@@ -247,8 +259,10 @@ class FrameDecoder:
         return pos, need
 
 
-def read_batches(read: Callable[[int], bytes], size: Optional[int] = READ_SIZE) -> Iterator[list]:
-    """Yield the messages that each ``read(size)`` completes, in stream order.
+def read_batches(
+    read: Callable[[int], bytes], size: Optional[int] = READ_SIZE, frames: dict[int, int] = _HEADER
+) -> Iterator[list]:
+    """Yield the messages of ``frames`` that each ``read(size)`` completes, in stream order.
 
     Raises ``ConnectionClosed`` at a clean end of stream and
     ``MalformedFrame`` at a bad frame or one the stream ends inside, in both
@@ -256,7 +270,7 @@ def read_batches(read: Callable[[int], bytes], size: Optional[int] = READ_SIZE) 
     read asks for no more than the next frame still takes, so no byte past
     a message is read before it is yielded.
     """
-    decoder = FrameDecoder()
+    decoder = FrameDecoder(frames)
     buf = bytearray()
     while True:
         data = read(size or decoder.need)

@@ -7,14 +7,15 @@ from sathub import dpll
 
 
 @pytest.fixture(autouse=True)
-def no_hub_thread_outlives_the_test():
-    """Fail a test that leaves a ``sathub-hub`` thread alive 2 s after it ends:
-    the hub's loop exits once its service holds no memory."""
+def no_thread_outlives_the_test():
+    """Fail a test whose own threads (the hub's loop, mirror readers,
+    ``parallelize`` children, serve threads) are still alive 2 s after it ends."""
+    before = set(threading.enumerate())
     yield
     deadline = time.monotonic() + 2.0
-    while any(thread.name == "sathub-hub" for thread in threading.enumerate()):
+    while left := [t.name for t in threading.enumerate() if t not in before]:
         if time.monotonic() > deadline:
-            pytest.fail("a sathub-hub thread is still alive 2 s after the test")
+            pytest.fail(f"threads still alive 2 s after the test: {left}")
         time.sleep(0.01)
 
 

@@ -282,7 +282,7 @@ def test_criterion_09_solver_lifecycle(hold):
     )
     thread.start()
     deadline = time.monotonic() + 5
-    while worker.record.state != "BUSY" and time.monotonic() < deadline:
+    while worker.state != "BUSY" and time.monotonic() < deadline:
         time.sleep(0.002)
     with pytest.raises(SolverBusy):
         worker.solve(store, timeout=0.0, web_pid="p2")

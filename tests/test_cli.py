@@ -208,7 +208,7 @@ def test_factor_deletes_its_memory_when_no_solver_is_free(hold, capsys):
     busy.start()
     try:
         deadline = time.monotonic() + 5
-        while worker.record.state != "BUSY" and time.monotonic() < deadline:
+        while worker.state != "BUSY" and time.monotonic() < deadline:
             time.sleep(0.002)
         code = main(["factor", "15", "--l", "4", "--endpoint", lone.endpoint, "--wait", "0"])
         assert code == 1

@@ -383,3 +383,38 @@ def test_a_refused_clause_mid_run_stores_only_the_clauses_before_it(bad, lost):
     finally:
         hub.close()
         mirror.close()
+
+
+def test_a_request_that_times_out_ends_the_mirror(monkeypatch):
+    monkeypatch.setattr(client, "REQUEST_TIMEOUT", 0.3)
+    hub, mirror = fake_hub_mirror(0)
+    stream = hub.makefile("rb")
+    try:
+        with pytest.raises(TimeoutError):
+            mirror.reserve_variables(10)
+        assert wire.read_message(stream) == (wire.ADD_VARS, 10)
+        try:
+            hub.sendall(wire.encode_first_index(1))  # the late reply
+        except OSError:
+            pass  # the mirror has shut its socket
+        # a late reply must not answer the next request: its block starts at 11
+        with pytest.raises(ConnectionError):
+            mirror.reserve_variables(20)
+        assert not mirror.alive
+        assert mirror.lost == "TimeoutError: no response from memory service"
+    finally:
+        stream.close()
+        hub.close()
+        mirror.close()
+
+
+def test_a_mirror_ends_at_a_frame_only_a_client_sends():
+    hub, mirror = fake_hub_mirror(1)
+    try:
+        hub.sendall(wire.encode_add_clause([1]) + wire.encode_lock_vars())
+        assert wait_until(lambda: not mirror.alive)
+        assert mirror.lost == "MalformedFrame: unexpected opcode 0x03"
+        assert mirror.clause_tuples() == [(1,)]
+    finally:
+        hub.close()
+        mirror.close()

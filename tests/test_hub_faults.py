@@ -3,6 +3,7 @@ mid-frame, a lock holder that vanishes, and peers that never read."""
 
 import logging
 import socket
+import struct
 import threading
 import time
 
@@ -145,3 +146,23 @@ def test_a_peer_past_the_outbound_limit_is_dropped(service, monkeypatch, caplog)
     finally:
         reader.close()
         idle_stream.close(); idle.close()
+
+
+def test_a_peer_that_sends_a_snapshot_is_refused_at_its_header(service):
+    obj = service.create_memory(1)
+    sock, stream = raw_peer(obj)
+    sock.settimeout(2)
+    (peer,) = obj.peers
+    try:
+        # the header announces 1,000,000 clauses; 1,000 one-literal clauses follow
+        header = struct.pack("<BII", wire.SNAPSHOT, 1, 1_000_000)
+        sock.sendall(header + struct.pack("<Ii", 1, 1) * 1000)
+        opcode, (code, _) = wire.read_message(stream)
+        assert (opcode, code) == (wire.ERROR, wire.ERR_MALFORMED)
+        with pytest.raises(wire.ConnectionClosed):
+            wire.read_message(stream)
+        assert peer.decoder._snapshot is None  # no clause of it was decoded
+        assert obj.view.clauses() == []
+    finally:
+        stream.close()
+        sock.close()

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+from sathub import wire
 from sathub.client import connect
 from sathub.cnf import ClauseRangeError
 from sathub.node import ServerNode
@@ -49,6 +50,11 @@ class Memory(SimpleNamespace):
     """One memory as the test sees it: web reference, hub object, model memory."""
 
 
+class Received(SimpleNamespace):
+    """What one mirror's reader was sent: the ``ADD_CLAUSE`` frames it applied,
+    against its memory's model clauses when it connected and its own new ones."""
+
+
 class SharedMemoryMachine(RuleBasedStateMachine):
     # forks made up front, so that most histories write to a memory that feeds one
     @initialize(
@@ -62,6 +68,7 @@ class SharedMemoryMachine(RuleBasedStateMachine):
         self.live: list[Memory] = []
         self.deleted: list[Memory] = []
         self.mirrors: list[tuple] = []  # (mirror, memory)
+        self.received: dict = {}  # by mirror
         self.forks = 0
         created = self.call("SatCnf.create", argument={"initialVariableCount": var_count})
         self._add(created["objectRef"], self.model.create(var_count))
@@ -88,6 +95,7 @@ class SharedMemoryMachine(RuleBasedStateMachine):
         mirror, memory = self.mirrors[pick % len(self.mirrors)]
         outcomes = list(map(kind, mirror.add_clauses(batch)))
         assert outcomes == self.model.add_clauses(memory.model, batch)
+        self.received[mirror].own += outcomes.count(True)
 
     @rule(pick=picks, batch=batches)
     def add_through_the_hub(self, pick, batch):
@@ -143,7 +151,16 @@ class SharedMemoryMachine(RuleBasedStateMachine):
     @rule(pick=picks)
     def connect(self, pick):
         memory = self.live[pick % len(self.live)]
-        self.mirrors.append((connect(memory.obj.direct_url), memory))
+        mirror = connect(memory.obj.direct_url)
+        received = self.received[mirror] = Received(frames=0, before=len(memory.model.clauses), own=0)
+        apply = mirror._apply
+
+        def counting(messages):
+            received.frames += sum(opcode == wire.ADD_CLAUSE for opcode, _ in messages)
+            return apply(messages)
+
+        mirror._apply = counting
+        self.mirrors.append((mirror, memory))
 
     @precondition(lambda self: self.mirrors)
     @rule(pick=picks)
@@ -179,6 +196,15 @@ class SharedMemoryMachine(RuleBasedStateMachine):
                 and mirror.var_count == store.var_count
             ), (mirror.clause_tuples(), store.clause_tuples())
             assert mirror.alive
+
+    @invariant()
+    def each_mirror_is_sent_each_new_clause_of_others_once(self):
+        # a clause echoed to the mirror that sent it is a duplicate there, so
+        # only the frame count shows it
+        for mirror, memory in self.mirrors:
+            received = self.received[mirror]
+            expected = len(memory.model.clauses) - received.before - received.own
+            assert wait_until(lambda: received.frames == expected), (received, expected)
 
     @invariant()
     def attached_forks_hold_their_origin_clauses(self):

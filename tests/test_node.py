@@ -130,11 +130,68 @@ def test_busy_over_http(node, hold_runs):
     assert results["first"]["result"] == "UNKNOWN"
 
 
-def test_pause_resume_cancel_errors_over_http(node):
-    solver_id = call(node, "Kernel.listSolvers")["solvers"][0]["solverId"]
-    assert "error" in call(node, "SatSolver.pause", object_ref=solver_id)
-    assert "error" in call(node, "SatSolver.resume", object_ref=solver_id)
-    assert "error" in call(node, "SatSolver.cancel", object_ref=solver_id)
+def test_pause_resume_cancel_errors_over_http(node, hold_runs):
+    hold_runs()  # the solve stays BUSY or PAUSED until it is cancelled
+    entry = call(node, "Kernel.listSolvers")["solvers"][0]
+    solver_id = entry["solverId"]
+    assert entry == {
+        "solverId": solver_id,
+        "solverType": "ReferenceDpll",
+        "endpoint": node.endpoint,
+        "state": "IDLE",
+    }
+
+    def control(method, web_pid="owner"):
+        return call(node, f"SatSolver.{method}", object_ref=solver_id, web_pid=web_pid)
+
+    def state():
+        listing = call(node, "Kernel.listSolvers")["solvers"]
+        return next(s["state"] for s in listing if s["solverId"] == solver_id)
+
+    for method in ("pause", "resume", "cancel"):
+        assert control(method) == {"error": f"cannot {method} in state IDLE"}
+
+    created = fill_memory(node, [[1, 2]], 2)
+    reply = {}
+    thread = threading.Thread(
+        target=lambda: reply.update(
+            call(
+                node,
+                "SatSolver.solve",
+                {"satMemoryUrl": created["directUrl"]},
+                object_ref=solver_id,
+                web_pid="owner",
+            )
+        ),
+        daemon=True,
+    )
+    thread.start()
+    deadline = time.monotonic() + 5
+    while state() != "BUSY" and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert state() == "BUSY"
+    assert control("resume") == {"error": "cannot resume in state BUSY"}
+    # the state is checked before the caller
+    assert control("resume", "intruder") == {"error": "cannot resume in state BUSY"}
+    for method in ("pause", "cancel"):
+        assert control(method, "intruder") == {
+            "error": "control call from a different web process"
+        }
+    assert control("pause") == {}
+    assert state() == "PAUSED"
+    assert control("pause") == {"error": "cannot pause in state PAUSED"}
+    for method in ("resume", "cancel"):
+        assert control(method, "intruder") == {
+            "error": "control call from a different web process"
+        }
+    assert control("resume") == {}
+    assert state() == "BUSY"
+    assert control("pause") == {}
+    assert control("cancel") == {}  # returns once the solve has exited
+    assert state() == "IDLE"
+    thread.join(timeout=10)
+    assert reply == {"result": "UNKNOWN"}
+    assert control("cancel") == {"error": "cannot cancel in state IDLE"}
     assert call(node, "SatSolver.solve", object_ref="ghost") == {
         "error": "NO_SUCH_OBJECT"
     }

@@ -60,7 +60,7 @@ def wait_until(predicate, timeout=5.0):
 
 
 def wait_for_state(worker, state, timeout=5.0):
-    return wait_until(lambda: worker.record.state == state, timeout)
+    return wait_until(lambda: worker.state == state, timeout)
 
 
 def test_outcome_json_roundtrip():
@@ -77,10 +77,10 @@ def test_registry_registration_and_listing():
     registry = SolverRegistry()
     w1 = SolverWorker(registry)
     w2 = SolverWorker(registry)
-    records = registry.list_solvers()
-    assert len(records) == 2
-    assert all(r.as_json()["solverType"] == "ReferenceDpll" for r in records)
-    assert registry.get(w1.record.solver_id) is w1
+    workers = registry.workers()
+    assert workers == [w1, w2]
+    assert all(w.as_json()["solverType"] == "ReferenceDpll" for w in workers)
+    assert registry.get(w1.solver_id) is w1
     assert registry.find_available(0) is w1
 
 
@@ -150,7 +150,7 @@ def test_cancel_makes_solve_return_unknown_and_frees(hold):
     worker.cancel(web_pid="p1")
     thread.join(timeout=5)
     assert holder["outcome"].result == "UNKNOWN"
-    assert worker.record.state == "IDLE"
+    assert worker.state == "IDLE"
     # new solve accepted immediately after cancel returns
     assert worker.solve(make_store([[1]], 1), web_pid="p1").result == "SAT"
 
@@ -160,13 +160,30 @@ def test_pause_resume_lifecycle(hold):
     thread, holder = start_solve(worker, held_store(), web_pid="p1", on_decision=hold)
     assert wait_for_state(worker, "BUSY")
     worker.pause(web_pid="p1")
-    assert worker.record.state == "PAUSED"
+    assert worker.state == "PAUSED"
     assert thread.is_alive()  # solve call has not returned
     worker.resume(web_pid="p1")
-    assert worker.record.state == "BUSY"
+    assert worker.state == "BUSY"
     worker.cancel(web_pid="p1")
     thread.join(timeout=5)
     assert holder["outcome"].result == "UNKNOWN"
+
+
+def test_a_paused_solve_reads_paused_until_it_exits_after_a_cancel():
+    worker = SolverWorker()
+    control = dpll.SolveControl()
+    go = threading.Event()
+    thread, holder = start_solve(
+        worker, held_store(), web_pid="p1", control=control, on_decision=lambda d: go.wait(5)
+    )
+    assert wait_for_state(worker, "BUSY")
+    worker.pause(web_pid="p1")
+    control.cancel()  # as a parallelize group cancels a sibling
+    assert worker.state == "PAUSED"
+    go.set()
+    thread.join(timeout=5)
+    assert holder["outcome"].result == "UNKNOWN"
+    assert worker.state == "IDLE"
 
 
 def test_pause_resume_outcome_identical():
@@ -225,19 +242,27 @@ def test_solve_on_unreachable_memory():
     outcome = worker.solve("tcp://127.0.0.1:1", web_pid="p")
     assert outcome.result == "UNKNOWN"
     assert outcome.error == "MEMORY_UNAVAILABLE"
-    assert worker.record.state == "IDLE"
+    assert worker.state == "IDLE"
 
 
 def test_control_cancelled_before_the_solve_answers_unknown_unconnected():
-    worker = SolverWorker()
-    states = []
-    worker._set_state = lambda state: states.append(state)
+    taken = []
+
+    class Spied(SolverWorker):
+        def __setattr__(self, name, value):
+            if name == "control" and value is not None:
+                taken.append(value)
+            super().__setattr__(name, value)
+
+    worker = Spied()
     control = dpll.SolveControl()
     control.cancel()
     outcome = worker.solve("tcp://127.0.0.1:1", web_pid="p", control=control)
     # an attempted connect to the closed port would have answered MEMORY_UNAVAILABLE
     assert (outcome.result, outcome.error) == ("UNKNOWN", None)
-    assert states == []
+    assert taken == []  # the worker never took the control
+    assert worker.solve(make_store([[1]], 1)).result == "SAT"
+    assert len(taken) == 1  # the spy sees a solve that does take one
 
 
 def test_solve_over_live_mirror():
@@ -303,7 +328,7 @@ def test_parallelize_busy_slot_isolated(hold):
     worker = SolverWorker(registry)
     blocker_thread, _ = start_solve(worker, held_store(), web_pid="other", on_decision=hold)
     assert wait_for_state(worker, "BUSY")
-    calls = [SolveCall(memory=make_store([[1]], 1), solver_id=worker.record.solver_id)]
+    calls = [SolveCall(memory=make_store([[1]], 1), solver_id=worker.solver_id)]
     results = parallelize(registry, calls, web_pid="parent")
     assert results[0].result is None
     assert results[0].error == "BUSY"
@@ -384,8 +409,8 @@ def test_first_sat_cancels_a_sibling_still_waiting_for_its_worker(monkeypatch):
 
     monkeypatch.setattr(SolverWorker, "solve", ordered_solve)
     calls = [
-        SolveCall(memory=held_store(), solver_id=blocked.record.solver_id, timeout=10.0),
-        SolveCall(memory=make_store([[1]], 1), solver_id=free.record.solver_id),
+        SolveCall(memory=held_store(), solver_id=blocked.solver_id, timeout=10.0),
+        SolveCall(memory=make_store([[1]], 1), solver_id=free.solver_id),
     ]
     sibling, winner = parallelize(registry, calls, first_sat_cancels=True, web_pid="parent")
     assert winner.result == "SAT"
@@ -417,14 +442,14 @@ def test_first_sat_cancel_wakes_a_sibling_waiting_for_a_busy_worker(monkeypatch)
 
     monkeypatch.setattr(SolverWorker, "solve", ordered_solve)
     calls = [
-        SolveCall(memory=held_store(), solver_id=blocked.record.solver_id, timeout=20.0),
-        SolveCall(memory=make_store([[1]], 1), solver_id=free.record.solver_id),
+        SolveCall(memory=held_store(), solver_id=blocked.solver_id, timeout=20.0),
+        SolveCall(memory=make_store([[1]], 1), solver_id=free.solver_id),
     ]
     try:
         sibling, winner = parallelize(registry, calls, first_sat_cancels=True, web_pid="parent")
         assert winner.result == "SAT"
         assert sibling.result == "UNKNOWN"
-        assert blocked.record.state == "BUSY"
+        assert blocked.state == "BUSY"
     finally:
         group_returned.set()
         blocker_thread.join(timeout=5)
